@@ -13,8 +13,6 @@ from .linalg import (
     OrthonormalBasis,
     batch_sum,
     dot,
-    extend_basis,
-    residual,
 )
 from .metrics import (
     DiversityReport,

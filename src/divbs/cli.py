@@ -19,25 +19,21 @@ import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError, LoadError
 from .featfile import atomic_write_text, read_features
-from .linalg import DEFAULT_EPS, FeatureMatrix
+from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
 from .metrics import diversity_report
 from .objective import brute_force_optimum
 from .selectors import (
     PAD_NONE,
     PAD_UNIFORM,
+    STRATEGIES,
     SelectionConfig,
     SelectionResult,
     select_divbs,
     select_greedy,
-    select_kmeanspp,
-    select_top_score,
-    select_uniform,
 )
 from .toy import TOY_STRATEGIES, run_toy_experiment
 
 GREEDY_BOUND = 1.0 - math.exp(-1.0)
-
-CLI_STRATEGIES = ("uniform", "top_score", "grad_norm", "greedy", "divbs", "kmeanspp")
 
 
 def _default_eps() -> float:
@@ -101,20 +97,12 @@ def cmd_select(args) -> int:
         seed=args.seed,
         normalize_features=args.normalize_features,
     )
+    scores = None
     if args.strategy == "top_score":
         if args.scores is None:
             raise UsageError("--strategy top_score requires --scores")
-        result = select_top_score(features, _read_scores(args.scores), cfg)
-    elif args.strategy == "grad_norm":
-        result = select_top_score(features, None, cfg)
-    elif args.strategy == "uniform":
-        result = select_uniform(features, cfg)
-    elif args.strategy == "greedy":
-        result = select_greedy(features, cfg)
-    elif args.strategy == "divbs":
-        result = select_divbs(features, cfg)
-    else:
-        result = select_kmeanspp(features, cfg)
+        scores = _read_scores(args.scores)
+    result = STRATEGIES[args.strategy](features, scores, cfg)
     echo = {
         "strategy": args.strategy,
         "budget": budget,
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select a subset from a feature file")
     p.add_argument("--features", required=True)
-    p.add_argument("--strategy", required=True, choices=CLI_STRATEGIES)
+    p.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--budget", type=int)
     group.add_argument("--budget-ratio", type=float, dest="budget_ratio")
@@ -335,8 +323,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "eps", None) is None:
+        if args.eps is None:
             args.eps = _default_eps()
+        check_eps(args.eps)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

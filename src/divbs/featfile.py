@@ -52,23 +52,24 @@ def write_features_binary(matrix: FeatureMatrix, path: str):
 
 def read_features_binary(path: str) -> FeatureMatrix:
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < HEADER.size:
-        raise LoadError(f"{path}: truncated header at offset {len(blob)}")
-    magic, n_rows, dim, has_labels = HEADER.unpack_from(blob, 0)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(HEADER.size)
+    if len(head) < HEADER.size:
+        raise LoadError(f"{path}: truncated header at offset {len(head)}")
+    magic, n_rows, dim, has_labels = HEADER.unpack(head)
     if magic != MAGIC:
         raise LoadError(f"{path}: bad magic at offset 0")
     if has_labels not in (0, 1):
         raise LoadError(f"{path}: invalid has_labels byte at offset 24")
     expected = HEADER.size + 8 * n_rows * dim + 4 * n_rows * has_labels
-    if len(blob) != expected:
+    if size != expected:
         raise LoadError(
-            f"{path}: file length {len(blob)} does not match expected {expected} bytes"
+            f"{path}: file length {size} does not match expected {expected} bytes"
         )
     if n_rows < 1 or dim < 1:
         raise LoadError(f"{path}: invalid shape {n_rows}x{dim} in header")
-    values = np.frombuffer(
-        blob, dtype="<f8", count=n_rows * dim, offset=HEADER.size
+    values = np.fromfile(
+        path, dtype="<f8", count=n_rows * dim, offset=HEADER.size
     ).reshape(n_rows, dim)
     bad = np.flatnonzero(~np.isfinite(values.ravel()))
     if bad.size:
@@ -76,10 +77,10 @@ def read_features_binary(path: str) -> FeatureMatrix:
         raise LoadError(f"{path}: non-finite value at byte offset {off}")
     labels = None
     if has_labels:
-        labels = np.frombuffer(
-            blob, dtype="<i4", count=n_rows, offset=HEADER.size + 8 * n_rows * dim
+        labels = np.fromfile(
+            path, dtype="<i4", count=n_rows, offset=HEADER.size + 8 * n_rows * dim
         )
-    return FeatureMatrix(values.copy(), None if labels is None else labels.copy())
+    return FeatureMatrix(values, labels)
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str):

@@ -5,6 +5,7 @@ produce bitwise-identical outputs on the same platform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,12 @@ import numpy as np
 from .errors import ContractViolationError
 
 DEFAULT_EPS = 1e-10
+
+
+def check_eps(eps):
+    """Reject a dependence tolerance that is not finite and non-negative."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ContractViolationError(f"eps must be finite and >= 0, got {eps!r}")
 
 
 def _as_float_vector(v) -> np.ndarray:
@@ -103,18 +110,21 @@ class OrthonormalBasis:
     def residual(self, v) -> np.ndarray:
         """Component of v orthogonal to the current span.
 
-        Projection is subtracted in two sweeps; the second sweep scrubs
-        roundoff left by heavy cancellation when v is nearly in the span.
+        v is one vector or a stack of row vectors.  Projection is subtracted
+        in two sweeps; the second sweep scrubs roundoff left by heavy
+        cancellation when v is nearly in the span.
         """
-        r = _as_float_vector(v).copy()
-        if r.shape[0] != self.dim:
+        r = np.array(v, dtype=np.float64)
+        if r.ndim not in (1, 2):
+            raise ContractViolationError(f"expected a vector or rows, got shape {r.shape}")
+        if r.shape[-1] != self.dim:
             raise ContractViolationError(
-                f"vector length {r.shape[0]} does not match basis dim {self.dim}"
+                f"vector length {r.shape[-1]} does not match basis dim {self.dim}"
             )
         E = self._store[: self._size]
         if self._size:
-            r -= E.T @ (E @ r)
-            r -= E.T @ (E @ r)
+            r -= (E.T @ (E @ r.T)).T
+            r -= (E.T @ (E @ r.T)).T
         return r
 
     def _append(self, e: np.ndarray):
@@ -144,12 +154,3 @@ class OrthonormalBasis:
         """Full Gram matrix of the basis vectors (identity when healthy)."""
         vecs = self.vectors
         return vecs @ vecs.T
-
-
-# Module-level aliases matching the functional surface used elsewhere.
-def residual(v, basis: OrthonormalBasis) -> np.ndarray:
-    return basis.residual(v)
-
-
-def extend_basis(basis: OrthonormalBasis, v) -> np.ndarray | None:
-    return basis.extend(v)

@@ -1,22 +1,25 @@
 """Budgeted subset selectors.
 
-select_greedy re-orthogonalizes every remaining row against the growing
-basis at each step (exact greedy maximization of the representativeness
-objective); select_divbs keeps the rows fixed and instead deflates the
-running batch-sum vector, which is the fast approximation.  The remaining
-selectors are baselines.  All selectors are deterministic: ties in any
-argmax go to the lowest row index, and stochastic strategies are driven
-entirely by the config seed.
+select_greedy (exact greedy maximization of the representativeness
+objective) and select_divbs (the fast approximation, which scores rows
+against a deflated running batch sum) share one implicit Gram-Schmidt
+kernel and differ only in one score normalization and divbs's early stop.
+The remaining selectors are baselines.  All selectors are deterministic:
+among equal computed scores the argmax takes the lowest row index (scores
+that are equal in exact arithmetic may still differ by rounding), and
+stochastic strategies are driven entirely by the config seed.  STRATEGIES
+maps every strategy name to a call on (features, scores, cfg).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
 from .objective import ObjectiveValue, representativeness
 
 PAD_NONE = "none"
@@ -27,7 +30,6 @@ PAD_UNIFORM = "uniform-random"
 class SelectionConfig:
     budget: int
     eps: float = DEFAULT_EPS
-    tie_break: str = "lowest-index"
     pad_policy: str = PAD_UNIFORM
     seed: int = 0
     normalize_features: bool = False
@@ -35,8 +37,7 @@ class SelectionConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ContractViolationError(f"budget must be >= 1, got {self.budget}")
-        if self.tie_break != "lowest-index":
-            raise ContractViolationError(f"unsupported tie_break rule {self.tie_break!r}")
+        check_eps(self.eps)
         if self.pad_policy not in (PAD_NONE, PAD_UNIFORM):
             raise ContractViolationError(f"unknown pad_policy {self.pad_policy!r}")
 
@@ -68,53 +69,112 @@ def _prepared_values(features: FeatureMatrix, cfg: SelectionConfig) -> np.ndarra
     return X / norms[:, None]
 
 
-def _finish(features, cfg, X, indices, scores, t0) -> SelectionResult:
-    obj = representativeness(FeatureMatrix(X), indices, cfg.eps) if X is not None else (
-        representativeness(features, indices, cfg.eps)
-    )
+def _finish(features, cfg, indices, scores, t0, objective=None) -> SelectionResult:
+    if objective is None:
+        objective = representativeness(features, indices, cfg.eps)
     result = SelectionResult(
         indices=list(indices),
         padded=[False] * len(indices),
-        objective=obj,
+        objective=objective,
         step_scores=[float(s) for s in scores],
         wall_time=time.perf_counter() - t0,
     )
     return pad_selection(result, features, cfg)
 
 
-def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
-    """Exact greedy selection.
+# A downdated squared norm that has lost all but this fraction of its
+# reference value has cancelled too far to be trusted (Drmac & Bujanovic,
+# ACM TOMS 2008; the sqrt(ulp) scale of LAPACK xGEQP3).
+_RECOMPUTE_TOL = 1e-8
 
-    The score of every remaining row is |unit residual . Sum| with Sum the
-    fixed full-batch feature sum; rows whose residual against the selected
-    span falls below the dependence threshold leave the candidate pool.
+
+def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: bool):
+    """Greedy selection by implicit Gram-Schmidt, shared by greedy and divbs.
+
+    With r_i the residual of row x_i against the selected span E and
+    running = Sum - E'E Sum, the kernel keeps proj_i = r_i . Sum = x_i .
+    running without forming r_i: after appending e it subtracts c (e . Sum)
+    with c = X e.  Greedy (exact=True) scores |proj_i| / ||r_i|| with ||r_i||^2
+    downdated by c^2; divbs scores |proj_i| and stops once running is
+    numerically zero.  Downdated squared norms that cancel below
+    _RECOMPUTE_TOL of their reference are recomputed from explicit residuals.
+    A row is accepted only if its explicit residual passes the dependence
+    rule.  The objective comes from the coefficients e . Sum.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
     X = _prepared_values(features, cfg)
-    n, _ = X.shape
-    total = X.sum(axis=0)
-    R = X.copy()
-    orig_norms = np.linalg.norm(X, axis=1)
-    thresholds = cfg.eps * np.maximum(1.0, orig_norms)
+    n, d = X.shape
+    total = running = X.sum(axis=0)
+    proj = X @ total
+    sum2 = sum_ref = float(np.dot(total, total))
+    sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
+    basis = OrthonormalBasis(d, cfg.eps)
     alive = np.ones(n, dtype=bool)
+    if exact:
+        nrm2 = np.einsum("ij,ij->i", X, X)
+        ref = nrm2.copy()
+        floor2 = cfg.eps**2 * np.maximum(1.0, nrm2)
     indices: list[int] = []
     scores: list[float] = []
-    while len(indices) < cfg.budget:
-        res_norms = np.linalg.norm(R, axis=1)
-        alive &= res_norms > thresholds
-        if not alive.any():
+    coeffs: list[float] = []
+    while len(indices) < min(cfg.budget, d):
+        if sum2 < _RECOMPUTE_TOL * sum_ref:
+            running = basis.residual(total)
+            sum2 = sum_ref = float(np.dot(running, running))
+            proj = X @ running
+        if exact:
+            stale = np.flatnonzero(alive & (nrm2 < _RECOMPUTE_TOL * ref))
+            if stale.size:
+                R = basis.residual(X[stale])
+                nrm2[stale] = ref[stale] = np.einsum("ij,ij->i", R, R)
+                proj[stale] = R @ running
+            alive &= nrm2 > floor2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.abs(proj) / np.sqrt(nrm2)
+        elif sum2 > sum_floor2:
+            s = np.abs(proj)
+        else:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.abs(R @ total) / res_norms
         s[~alive] = -np.inf
         idx = int(np.argmax(s))
-        e = R[idx] / res_norms[idx]
-        indices.append(idx)
-        scores.append(float(s[idx]))
+        while s[idx] > -np.inf:
+            res = basis.residual(X[idx])
+            norm = float(np.linalg.norm(res))
+            if norm > cfg.eps * max(1.0, float(np.linalg.norm(X[idx]))):
+                break
+            alive[idx] = False
+            s[idx] = -np.inf
+            idx = int(np.argmax(s))
+        else:
+            break
+        e = res / norm
+        basis._append(e)
+        # e . running = e . Sum (e is orthogonal to the span running was
+        # deflated against), with less rounding once Sum is mostly covered
+        coef = float(np.dot(e, running))
+        c = X @ e
+        proj -= c * coef
+        sum2 -= coef * coef
+        if exact:
+            nrm2 -= c * c
         alive[idx] = False
-        R -= np.outer(R @ e, e)
-    return _finish(features, cfg, X, indices, scores, t0)
+        indices.append(idx)
+        scores.append(abs(coef) if exact else s[idx])
+        coeffs.append(coef)
+    r_prime = float(np.linalg.norm(coeffs))
+    objective = ObjectiveValue(math.sqrt(len(indices)) * r_prime, r_prime, len(indices))
+    return _finish(features, cfg, indices, scores, t0, objective)
+
+
+def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
+    """Exact greedy selection.
+
+    Each step picks the remaining row whose unit residual against the
+    selected span has the largest |unit residual . Sum|, with Sum the fixed
+    full-batch feature sum.
+    """
+    return _select_by_projection(features, cfg, exact=True)
 
 
 def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -122,46 +182,9 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
 
     Scores rows by |g . Sum| against a running Sum vector that is deflated
     by the component along each newly selected direction; stops early when
-    Sum is driven to (numerical) zero.  Rows dependent on the selected span
-    are excluded from candidacy and the argmax re-evaluated.
+    Sum is driven to (numerical) zero.
     """
-    _check_budget(features, cfg)
-    t0 = time.perf_counter()
-    X = _prepared_values(features, cfg)
-    n, d = X.shape
-    total = X.sum(axis=0)
-    running = total.copy()
-    sum_floor = cfg.eps * max(1.0, float(np.linalg.norm(total)))
-    orig_norms = np.linalg.norm(X, axis=1)
-    basis = OrthonormalBasis(d, cfg.eps)
-    alive = np.ones(n, dtype=bool)
-    indices: list[int] = []
-    scores: list[float] = []
-    while len(indices) < cfg.budget and float(np.linalg.norm(running)) > sum_floor:
-        s = np.abs(X @ running)
-        s[~alive] = -np.inf
-        picked = None
-        while alive.any():
-            idx = int(np.argmax(s))
-            res = basis.residual(X[idx])
-            norm = float(np.linalg.norm(res))
-            if norm <= cfg.eps * max(1.0, float(orig_norms[idx])):
-                alive[idx] = False
-                s[idx] = -np.inf
-                continue
-            picked = (idx, res / norm)
-            break
-        if picked is None:
-            break
-        idx, e = picked
-        indices.append(idx)
-        scores.append(float(s[idx]))
-        alive[idx] = False
-        basis._append(e)
-        running -= np.dot(e, running) * e
-        # scrub drift against the whole basis (a no-op in exact arithmetic)
-        running -= basis.vectors.T @ (basis.vectors @ running)
-    return _finish(features, cfg, X, indices, scores, t0)
+    return _select_by_projection(features, cfg, exact=False)
 
 
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -170,7 +193,7 @@ def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRe
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
-    return _finish(features, cfg, None, indices, [], t0)
+    return _finish(features, cfg, indices, [], t0)
 
 
 def select_top_score(
@@ -190,10 +213,12 @@ def select_top_score(
         raise ContractViolationError(
             f"scores length {scores.shape} does not match {features.n_rows} rows"
         )
+    if not np.isfinite(scores).all():
+        raise ContractViolationError("scores contain NaN or Inf")
     order = np.lexsort((np.arange(features.n_rows), -scores))
     indices = order[: cfg.budget].tolist()
     step_scores = [float(scores[i]) for i in indices]
-    return _finish(features, cfg, None, indices, step_scores, t0)
+    return _finish(features, cfg, indices, step_scores, t0)
 
 
 def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -225,7 +250,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
         indices.append(idx)
         chosen[idx] = True
         d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
-    return _finish(features, cfg, None, indices, [], t0)
+    return _finish(features, cfg, indices, [], t0)
 
 
 def pad_selection(
@@ -248,9 +273,13 @@ def pad_selection(
     )
 
 
+# Each entry calls its selector through the module global, so a wrapper
+# swapped into this module (a tracer, a test double) sees every dispatch.
 STRATEGIES = {
-    "uniform": select_uniform,
-    "greedy": select_greedy,
-    "divbs": select_divbs,
-    "kmeanspp": select_kmeanspp,
+    "uniform": lambda f, s, c: select_uniform(f, c),
+    "top_score": lambda f, s, c: select_top_score(f, s, c),
+    "grad_norm": lambda f, s, c: select_top_score(f, None, c),
+    "greedy": lambda f, s, c: select_greedy(f, c),
+    "divbs": lambda f, s, c: select_divbs(f, c),
+    "kmeanspp": lambda f, s, c: select_kmeanspp(f, c),
 }

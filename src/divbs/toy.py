@@ -14,16 +14,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix
 from .metrics import DiversityReport, diversity_report
-from .selectors import (
-    PAD_UNIFORM,
-    SelectionConfig,
-    SelectionResult,
-    select_divbs,
-    select_greedy,
-    select_kmeanspp,
-    select_top_score,
-    select_uniform,
-)
+from .selectors import PAD_UNIFORM, STRATEGIES, SelectionConfig, SelectionResult
 
 DEFAULT_MEANS = ((0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0))
 DEFAULT_COUNTS = (1000, 300, 150, 20)
@@ -203,20 +194,6 @@ class ToyRunReport:
         }
 
 
-def _select(strategy: str, feats: FeatureMatrix, losses, cfg: SelectionConfig) -> SelectionResult:
-    if strategy == "uniform":
-        return select_uniform(feats, cfg)
-    if strategy == "top_loss":
-        return select_top_score(feats, losses, cfg)
-    if strategy == "greedy":
-        return select_greedy(feats, cfg)
-    if strategy == "divbs":
-        return select_divbs(feats, cfg)
-    if strategy == "kmeanspp":
-        return select_kmeanspp(feats, cfg)
-    raise ContractViolationError(f"unknown strategy {strategy!r}")
-
-
 def run_toy_experiment(
     strategy: str,
     budget_ratio: float = 0.1,
@@ -256,7 +233,9 @@ def run_toy_experiment(
             pad_policy=pad_policy,
             seed=(seed * 1_000_003 + epoch) % 2**63,
         )
-        result = _select(strategy, feats, losses, cfg)
+        result = STRATEGIES["top_score" if strategy == "top_loss" else strategy](
+            feats, losses, cfg
+        )
         sel = result.indices
         _, grads = loss_and_gradients(model, x[sel], labels[sel])
         model = adam_step(model, grads)

@@ -118,6 +118,39 @@ class TestSelect:
         assert code == 0
         assert validate(out, schema)["indices"] == [0, 2]
 
+    def test_nan_score_data_error(self, hand_features, tmp_path):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("3.0\nnan\n2.0\n")
+        code = main(
+            [
+                "select",
+                "--features",
+                hand_features,
+                "--strategy",
+                "top_score",
+                "--scores",
+                str(scores),
+                "--budget",
+                "2",
+            ]
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "env,flag", [("nan", None), ("-1e-3", None), ("inf", None), (None, "-5")]
+    )
+    def test_bad_eps_data_error(self, hand_features, tmp_path, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("DIVBS_EPS", env)
+        eps = [] if flag is None else ["--eps", flag]
+        out = tmp_path / "sel.json"
+        argv = ["select", "--features", hand_features, "--strategy", "divbs", "--budget", "2"]
+        assert main(argv + ["--pad", "uniform", "--out", str(out)] + eps) == 3
+        assert not out.exists()
+        # checked once for every subcommand, not only by the selectors
+        argv = ["oracle-check", "--n", "4", "--d", "2", "--budget", "1", "--trials", "1"]
+        assert main(argv + eps) == 3
+
     def test_missing_file_data_error(self, tmp_path):
         code = main(
             [

@@ -25,6 +25,16 @@ def cfg(budget, **kw):
     return SelectionConfig(budget=budget, **kw)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-12, -5.0])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ContractViolationError, match="eps"):
+            SelectionConfig(budget=1, eps=eps)
+
+    def test_accepts_zero_eps(self):
+        assert SelectionConfig(budget=1, eps=0.0).eps == 0.0
+
+
 class TestGreedy:
     def test_hand_example(self):
         result = select_greedy(HAND, cfg(2))
@@ -149,6 +159,12 @@ class TestTopScore:
         fm = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ContractViolationError):
             select_top_score(fm, [1.0, 2.0], cfg(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        fm = FeatureMatrix(np.ones((3, 2)))
+        with pytest.raises(ContractViolationError, match="NaN or Inf"):
+            select_top_score(fm, [1.0, bad, 2.0], cfg(1))
 
 
 class TestKmeanspp:
