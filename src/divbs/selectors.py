@@ -3,12 +3,23 @@
 select_greedy (exact greedy maximization of the representativeness
 objective) and select_divbs (the fast approximation, which scores rows
 against a deflated running batch sum) share one implicit Gram-Schmidt
-kernel and differ only in one score normalization and divbs's early stop.
-The remaining selectors are baselines.  All selectors are deterministic:
-among equal computed scores the argmax takes the lowest row index (scores
-that are equal in exact arithmetic may still differ by rounding), and
-stochastic strategies are driven entirely by the config seed.  STRATEGIES
-maps every strategy name to a call on (features, scores, cfg).
+kernel: the same running-sum guard, acceptance residual, basis and
+objective.  Greedy keeps its scores and residual norms downdated in float64
+(one float64 pass over X per step).  Divbs screens every row in float32
+against an explicit float64 running sum and certifies the pick in float64:
+each float32 score carries a rigorous error bound, and every row whose
+interval reaches the leader's is re-scored in float64.  Its pick is the
+float64 argmax, bitwise reproducible whatever the BLAS thread split, from
+half the bytes per step; each divbs call holds an extra N x D float32 copy
+of the features (N D 4 bytes).  Both raise ContractViolationError when no
+row clears the dependence floor eps * max(1, ||x||) or a squared norm
+overflows.  The remaining selectors are baselines and reject
+normalize_features, which they would ignore.  All selectors are
+deterministic: among equal computed scores the argmax takes the lowest row
+index (scores that are equal in exact arithmetic may still differ by
+rounding), and stochastic strategies are driven entirely by the config
+seed.  STRATEGIES maps every strategy name to a call on (features, scores,
+cfg).
 """
 from __future__ import annotations
 
@@ -58,6 +69,11 @@ def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
         )
 
 
+def _reject_normalize(cfg: SelectionConfig, strategy: str):
+    if cfg.normalize_features:
+        raise ContractViolationError(f"{strategy} does not support normalize_features")
+
+
 def _prepared_values(features: FeatureMatrix, cfg: SelectionConfig) -> np.ndarray:
     X = features.values
     if not cfg.normalize_features:
@@ -87,34 +103,142 @@ def _finish(features, cfg, indices, scores, t0, objective=None) -> SelectionResu
 # ACM TOMS 2008; the sqrt(ulp) scale of LAPACK xGEQP3).
 _RECOMPUTE_TOL = 1e-8
 
+_U32 = 2.0**-24  # unit roundoff of float32
+# Smallest normal numbers: every float operation whose result underflows is
+# off by less than these, with gradual underflow or flushed to zero.
+_TINY32 = 2.0**-126
+_TINY64 = 2.0**-1022
+
+
+def _pow2_scale(norm: float) -> float:
+    """Power of two s with norm * s in [0.5, 1) (s = 1 for norm = 0)."""
+    return math.ldexp(1.0, -min(max(math.frexp(norm)[1], -1000), 1000))
+
+
+def _f64_scores(rows: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """|x_i . running| for a 2-D block of rows, by numpy's elementwise product
+    and pairwise sum, which no BLAS thread split affects."""
+    return np.abs((rows * running).sum(axis=1))
+
+
+class _Float32Screen:
+    """Float32 copy of the rows that encloses every |x_i . running| in an interval.
+
+    X32 = fl32(sx X) and r32 = fl32(sr running), with powers of two sx and sr:
+    sx = 1 (X32 is then a plain cast) unless the largest row norm M lies
+    outside [2^-40, 2^40], else it brings M to [0.5, 1); sr brings
+    sx M ||sr running|| to [0.5, 1).  So no float32 entry, product or partial
+    sum can overflow.  For s_i = |X32_i . r32|,
+
+        |s_i - sx sr |x_i . running|| <= kappa ||sx x_i|| ||sr running|| + a,
+
+    with kappa = (1 + u)^2 (1 + gamma_d) - 1 for the rounding of both vectors
+    to float32 (u each) and the dot product in any order (gamma_d = d u /
+    (1 - d u), Higham 2002, sec. 3.1), and a = (1 + gamma_d) tiny32 (2 sqrt(d)
+    (sx M + ||sr running||) + 3 d) for entries and results that underflow.
+    The factor 1 + 2^-20 on kappa and the tiny64 terms also cover the float64
+    rounding of the norms, of the bound and of the float64 re-score.  kappa
+    is +inf once d u >= 1, which makes every row a candidate.
+    """
+
+    def __init__(self, X: np.ndarray, nrm2: np.ndarray):
+        n, d = X.shape
+        gamma = d * _U32 / (1.0 - d * _U32) if d * _U32 < 1.0 else math.inf
+        kappa = (2.0 * _U32 + _U32 * _U32 + gamma * (1.0 + _U32) ** 2) * (1.0 + 2.0**-20)
+        nx = np.sqrt(nrm2 + 2 * d * _TINY64)
+        top = float(nx.max())
+        self.sx = 1.0 if 2.0**-40 <= top <= 2.0**40 else _pow2_scale(top)
+        self.m = top * self.sx  # largest scaled row norm
+        self.X = X
+        if self.sx == 1.0:
+            self.X32 = X.astype(np.float32)
+        else:  # the float64 product by a power of two is exact; one rounding
+            X32 = np.empty((n, d), np.float32)
+            self.X32 = np.multiply(X, self.sx, out=X32, casting="same_kind")
+        self.kx = kappa * self.sx * nx
+        self.kx_max = float(self.kx.max())
+        self.a32 = (1.0 + gamma) * _TINY32
+        self.a64 = 4 * d * _TINY64 * self.sx
+
+    def scores(self, running: np.ndarray):
+        """Return (s, nrs, a, scale): float32 scores s_i and the terms of
+        bound_i = kx_i nrs + a, so that s_i - bound_i <= scale |x_i . running|
+        <= s_i + bound_i, with |x_i . running| exact or as evaluated in float64."""
+        d = running.shape[0]
+        nr = math.sqrt(float(np.dot(running, running)) + 2 * d * _TINY64)
+        sr = _pow2_scale(nr * self.m)
+        s = np.abs(self.X32 @ (running * sr).astype(np.float32))
+        nrs = nr * sr
+        a = self.a32 * (2.0 * math.sqrt(d) * (self.m + nrs) + 3 * d) + self.a64 * sr
+        return s, nrs, a, self.sx * sr
+
+    def best(self, running: np.ndarray, alive: np.ndarray):
+        """The alive row with the largest float64 |x_i . running| (lowest index
+        on ties) and that score, or (None, None).  Only rows whose upper bound
+        reaches the leader's lower bound can win, and only they are re-scored
+        in float64 (_f64_scores)."""
+        s, nrs, a, _ = self.scores(running)
+        s[~alive] = -1.0  # below every score, so a dead row leads only if all are dead
+        lead = int(np.argmax(s))
+        if not alive[lead]:
+            return None, None
+        # s_i + bound_i >= s_lead - bound_lead, first against the widest bound
+        top = float(s[lead])
+        floor = top - self.kx[lead] * nrs - 2.0 * a
+        wide = floor - self.kx_max * nrs
+        s[lead] = -1.0
+        if float(s.max()) < wide:  # the leader is the only candidate
+            return lead, float(_f64_scores(self.X[lead : lead + 1], running)[0])
+        s[lead] = top
+        rows = np.flatnonzero(s >= np.float64(wide))
+        rows = rows[(s[rows] + self.kx[rows] * nrs >= floor) & alive[rows]]
+        exact = _f64_scores(self.X[rows], running)
+        k = int(np.argmax(exact))
+        return int(rows[k]), float(exact[k])
+
 
 def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: bool):
     """Greedy selection by implicit Gram-Schmidt, shared by greedy and divbs.
 
     With r_i the residual of row x_i against the selected span E and
-    running = Sum - E'E Sum, the kernel keeps proj_i = r_i . Sum = x_i .
-    running without forming r_i: after appending e it subtracts c (e . Sum)
-    with c = X e.  Greedy (exact=True) scores |proj_i| / ||r_i|| with ||r_i||^2
-    downdated by c^2; divbs scores |proj_i| and stops once running is
-    numerically zero.  Downdated squared norms that cancel below
-    _RECOMPUTE_TOL of their reference are recomputed from explicit residuals.
-    A row is accepted only if its explicit residual passes the dependence
-    rule.  The objective comes from the coefficients e . Sum.
+    running = Sum - E'E Sum, both score rows by proj_i = r_i . Sum = x_i .
+    running without forming r_i.  Greedy (exact=True) keeps proj and ||r_i||^2
+    downdated: after appending e it subtracts c (e . Sum) and c^2 with c = X e,
+    and scores |proj_i| / ||r_i||.  Divbs keeps running explicitly, screens
+    |x_i . running| in float32 (_Float32Screen), re-scores in float64 the rows
+    that can win, and stops once running is numerically zero.  Downdated
+    squared norms that cancel below _RECOMPUTE_TOL of their reference are
+    recomputed from explicit residuals.  A row is accepted only if its explicit
+    residual passes the dependence rule.  The objective comes from the
+    coefficients e . Sum.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
     X = _prepared_values(features, cfg)
     n, d = X.shape
-    total = running = X.sum(axis=0)
-    proj = X @ total
-    sum2 = sum_ref = float(np.dot(total, total))
-    sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
-    basis = OrthonormalBasis(d, cfg.eps)
-    alive = np.ones(n, dtype=bool)
-    if exact:
+    with np.errstate(over="ignore"):
+        total = X.sum(axis=0)
+        sum2 = sum_ref = float(np.dot(total, total))
         nrm2 = np.einsum("ij,ij->i", X, X)
+    if not (math.isfinite(sum2) and np.isfinite(nrm2).all()):
+        raise ContractViolationError(
+            "feature scale out of range: a squared row norm or ||Sum||^2 overflows"
+        )
+    floor2 = cfg.eps**2 * np.maximum(1.0, nrm2)
+    alive = nrm2 > floor2
+    if not alive.any():
+        raise ContractViolationError(
+            f"no row clears the dependence floor eps * max(1, ||x||) with eps={cfg.eps}; "
+            "the features are too small for this eps"
+        )
+    sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
+    running = total.copy()
+    basis = OrthonormalBasis(d, cfg.eps)
+    if exact:
+        proj = X @ total
         ref = nrm2.copy()
-        floor2 = cfg.eps**2 * np.maximum(1.0, nrm2)
+    else:
+        screen = _Float32Screen(X, nrm2)
     indices: list[int] = []
     scores: list[float] = []
     coeffs: list[float] = []
@@ -122,7 +246,8 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
         if sum2 < _RECOMPUTE_TOL * sum_ref:
             running = basis.residual(total)
             sum2 = sum_ref = float(np.dot(running, running))
-            proj = X @ running
+            if exact:
+                proj = X @ running
         if exact:
             stale = np.flatnonzero(alive & (nrm2 < _RECOMPUTE_TOL * ref))
             if stale.size:
@@ -132,20 +257,27 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
             alive &= nrm2 > floor2
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.abs(proj) / np.sqrt(nrm2)
+
+            def best():
+                s[~alive] = -np.inf
+                i = int(np.argmax(s))
+                return (i, s[i]) if s[i] > -np.inf else (None, None)
+
         elif sum2 > sum_floor2:
-            s = np.abs(proj)
+
+            def best():
+                return screen.best(running, alive)
+
         else:
             break
-        s[~alive] = -np.inf
-        idx = int(np.argmax(s))
-        while s[idx] > -np.inf:
+        idx, score = best()
+        while idx is not None:
             res = basis.residual(X[idx])
             norm = float(np.linalg.norm(res))
             if norm > cfg.eps * max(1.0, float(np.linalg.norm(X[idx]))):
                 break
             alive[idx] = False
-            s[idx] = -np.inf
-            idx = int(np.argmax(s))
+            idx, score = best()
         else:
             break
         e = res / norm
@@ -153,14 +285,16 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
         # e . running = e . Sum (e is orthogonal to the span running was
         # deflated against), with less rounding once Sum is mostly covered
         coef = float(np.dot(e, running))
-        c = X @ e
-        proj -= c * coef
         sum2 -= coef * coef
         if exact:
+            c = X @ e
+            proj -= c * coef
             nrm2 -= c * c
+        else:
+            running -= coef * e
         alive[idx] = False
         indices.append(idx)
-        scores.append(abs(coef) if exact else s[idx])
+        scores.append(abs(coef) if exact else score)
         coeffs.append(coef)
     r_prime = float(np.linalg.norm(coeffs))
     objective = ObjectiveValue(math.sqrt(len(indices)) * r_prime, r_prime, len(indices))
@@ -190,6 +324,7 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
     """Seeded uniform sample of budget rows without replacement."""
     _check_budget(features, cfg)
+    _reject_normalize(cfg, "uniform")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
@@ -205,6 +340,7 @@ def select_top_score(
     each row by its Euclidean norm.
     """
     _check_budget(features, cfg)
+    _reject_normalize(cfg, "top_score" if scores is not None else "grad_norm")
     t0 = time.perf_counter()
     if scores is None:
         scores = np.linalg.norm(features.values, axis=1)
@@ -230,6 +366,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     to uniform among the unselected rows.
     """
     _check_budget(features, cfg)
+    _reject_normalize(cfg, "kmeanspp")
     t0 = time.perf_counter()
     X = features.values
     n = features.n_rows

@@ -1,0 +1,165 @@
+"""Divbs's float32 screen and the float64 certificate behind its picks.
+
+select_divbs scores every row in float32, gives each row an interval that
+must hold the exact score and its float64 evaluation, and re-scores in
+float64 only the rows whose interval reaches the leader's.  Its picks must
+therefore equal those of reference_divbs_direct, which scores every row in
+float64, at any scale and whatever the BLAS thread count.
+"""
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divbs import selectors
+from divbs.linalg import FeatureMatrix
+from divbs.selectors import SelectionConfig, _Float32Screen, select_divbs
+
+from reference_selectors import reference_divbs_direct
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def screen_of(X):
+    return _Float32Screen(X, np.einsum("ij,ij->i", X, X))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 24),
+    rank=st.integers(1, 24),
+    duplicates=st.integers(0, 6),
+    twins=st.integers(0, 6),
+    scale=st.integers(-20, 120),
+    budget=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_divbs_matches_float64_reference(n, d, rank, duplicates, twins, scale, budget, seed):
+    """Random shapes and ranks, exact duplicate rows (ties settled by the
+    lowest index) and twins that differ by ~1e-9 relative (too close for
+    float32 to order), scaled by up to 2^120, where float32 products of
+    unscaled rows overflow."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, d)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    for _ in range(duplicates):
+        X[rng.integers(n)] = X[rng.integers(n)]
+    for _ in range(twins):
+        X[rng.integers(n)] = X[rng.integers(n)] * (1.0 + 2.0**-30 * rng.standard_normal(d))
+    fm = FeatureMatrix(X * 2.0**scale)
+    cfg = SelectionConfig(budget=min(budget, n), pad_policy="none")
+    assert select_divbs(fm, cfg).indices == reference_divbs_direct(fm, cfg)[0]
+
+
+def test_rows_that_underflow_in_float32_are_picked_exactly():
+    """Rows of norm ~1e25 and ~1e-25 in disjoint coordinates.  Once the big
+    rows are taken the small ones compete; in float32 they are all zero, so
+    the certificate must send every one of them to the float64 re-score."""
+    rng = np.random.default_rng(120)
+    X = np.zeros((11, 12))
+    big = [4, 5, 6]
+    small = [0, 1, 2, 3, 7, 8, 9, 10]
+    X[big, :6] = 1e25 * rng.standard_normal((3, 6))
+    X[small, 6:] = 1e-25 * rng.standard_normal((8, 6))
+    assert not screen_of(X).X32[small].any()
+    fm = FeatureMatrix(X)
+    cfg = SelectionConfig(budget=9, eps=0.0, pad_policy="none")
+    result = select_divbs(fm, cfg)
+    assert result.indices == reference_divbs_direct(fm, cfg)[0]
+    assert sorted(result.indices[:3]) == big
+    assert len(set(result.indices[3:]) & set(small)) == 6
+
+
+def test_every_row_is_a_candidate_when_float32_cannot_bound(monkeypatch):
+    """Once d u >= 1 kappa is +inf: every alive row is re-scored in float64.
+    Raising u to 1/2 reaches that case at small D."""
+    monkeypatch.setattr(selectors, "_U32", 0.5)
+    rng = np.random.default_rng(123)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(2, 12))
+        fm = FeatureMatrix(rng.standard_normal((n, d)))
+        assert np.isinf(screen_of(fm.values).kx_max)
+        cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none")
+        assert select_divbs(fm, cfg).indices == reference_divbs_direct(fm, cfg)[0]
+
+
+def cancellation_rows(scale):
+    """Rows nearly orthogonal to running: |x . running| ~ 1e-7 ||x|| ||running||."""
+    rng = np.random.default_rng(121)
+    running = rng.standard_normal(64)
+    unit = running / np.linalg.norm(running)
+    Y = rng.standard_normal((100, 64))
+    X = Y - np.outer(Y @ unit, unit) + 1e-7 * np.outer(rng.standard_normal(100), unit)
+    return X * scale, running * scale
+
+
+def rounding_rows():
+    """D = 1 rows and a running value that sit just above a float32 rounding
+    midpoint, so both round up by almost u and the product rounds up too:
+    the error reaches 99.8 % of the bound for row 0."""
+    def above_midpoint(k):
+        return 1.0 + k * 2.0**-23 + 2.0**-24 * (1.0 - 2.0**-20)
+
+    X = np.array([[above_midpoint(k)] for k in (2522, 0, 1, 77, 4095, 2**22)])
+    return X, np.array([above_midpoint(4981)])
+
+
+@pytest.mark.parametrize(
+    "X,running",
+    [cancellation_rows(1.0), cancellation_rows(2.0**100), rounding_rows()],
+    ids=["cancellation", "cancellation-2^100", "rounding"],
+)
+def test_screen_bound_encloses_scores(X, running):
+    """|s_i - scale |x_i . running|| <= bound_i, for the exact score (rational
+    arithmetic) and for its float64 evaluation."""
+    screen = screen_of(X)
+    s, nrs, a, scale = screen.scores(running)
+    bound = screen.kx * nrs + a
+    exact = [abs(sum(Fraction(x) * Fraction(r) for x, r in zip(row, running))) for row in X]
+    for si, e, b in zip(s, exact, bound):
+        assert abs(Fraction(float(si)) - Fraction(scale) * e) <= Fraction(b)
+    evaluated = np.abs((X * running).sum(axis=1))
+    assert np.all(np.abs(s - scale * evaluated) <= bound)
+
+
+_PICKS = """
+import json
+import numpy as np
+from divbs.linalg import FeatureMatrix
+from divbs.selectors import SelectionConfig, select_divbs
+rng = np.random.default_rng(122)
+out = []
+for n, d, budget in [(1470, 404, 147), (600, 300, 200)]:
+    r = select_divbs(FeatureMatrix(rng.standard_normal((n, d))), SelectionConfig(budget=budget))
+    out.append([r.indices, [s.hex() for s in r.step_scores]])
+print(json.dumps(out))
+"""
+
+
+def test_picks_independent_of_blas_threads():
+    """Indices and step scores are bitwise equal with one BLAS thread and with
+    the default thread count."""
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = str(SRC)
+
+    def picks(extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKS],
+            env={**env, **extra},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return json.loads(proc.stdout)
+
+    assert picks({"OPENBLAS_NUM_THREADS": "1"}) == picks({})

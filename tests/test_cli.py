@@ -151,6 +151,26 @@ class TestSelect:
         argv = ["oracle-check", "--n", "4", "--d", "2", "--budget", "1", "--trials", "1"]
         assert main(argv + eps) == 3
 
+    @pytest.mark.parametrize("strategy", ["divbs", "greedy"])
+    @pytest.mark.parametrize("scale", [1e-11, 1e160])
+    def test_out_of_range_scale_data_error(self, tmp_path, strategy, scale):
+        feat = str(tmp_path / "f.bin")
+        X = scale * np.random.default_rng(61).standard_normal((20, 5))
+        write_features_binary(FeatureMatrix(X), feat)
+        out = tmp_path / "sel.json"
+        argv = ["select", "--features", feat, "--strategy", strategy, "--budget", "3"]
+        assert main(argv + ["--pad", "uniform", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "top_score", "grad_norm", "kmeanspp"])
+    def test_normalize_features_rejected_by_baselines(self, hand_features, tmp_path, strategy):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("3.0\n1.0\n2.0\n")
+        argv = ["select", "--features", hand_features, "--strategy", strategy, "--budget", "2"]
+        argv += ["--scores", str(scores)] if strategy == "top_score" else []
+        assert main(argv) == 0
+        assert main(argv + ["--normalize-features"]) == 3
+
     def test_missing_file_data_error(self, tmp_path):
         code = main(
             [

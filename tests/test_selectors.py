@@ -35,6 +35,51 @@ class TestConfig:
         assert SelectionConfig(budget=1, eps=0.0).eps == 0.0
 
 
+class TestScaleContract:
+    """Out-of-range feature scales are contract errors, not silent uniform
+    padding: at 1e-11 no row clears the dependence floor eps * max(1, ||x||),
+    and at 1e160 the squared norms overflow.  A sum that merely cancels is
+    not a scale error (TestDivbs.test_zero_sum_terminates_empty)."""
+
+    @pytest.mark.parametrize("select", [select_greedy, select_divbs])
+    def test_tiny_scale_rejected(self, select):
+        fm = FeatureMatrix(1e-11 * np.random.default_rng(30).standard_normal((20, 5)))
+        with pytest.raises(ContractViolationError, match="dependence floor"):
+            select(fm, SelectionConfig(budget=3))
+
+    @pytest.mark.parametrize("select", [select_greedy, select_divbs])
+    @pytest.mark.parametrize(
+        "X",
+        [1e160 * np.random.default_rng(31).standard_normal((20, 5)), np.full((20, 5), 1e153)],
+        ids=["row-norms", "sum-only"],
+    )
+    def test_overflowing_scale_rejected(self, select, X):
+        with pytest.raises(ContractViolationError, match="overflows"):
+            select(FeatureMatrix(X), SelectionConfig(budget=3))
+
+
+class TestNormalizeFeatures:
+    """Only greedy and divbs read normalize_features; the baselines reject it
+    instead of echoing a setting they ignore."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fm, c: select_uniform(fm, c),
+            lambda fm, c: select_top_score(fm, np.arange(40.0), c),
+            lambda fm, c: select_top_score(fm, None, c),
+            lambda fm, c: select_kmeanspp(fm, c),
+        ],
+        ids=["uniform", "top_score", "grad_norm", "kmeanspp"],
+    )
+    def test_baselines_reject_normalize(self, call):
+        rng = np.random.default_rng(32)
+        fm = FeatureMatrix(rng.standard_normal((40, 6)) * rng.uniform(0.1, 10.0, size=(40, 1)))
+        with pytest.raises(ContractViolationError, match="normalize_features"):
+            call(fm, cfg(4, normalize_features=True))
+        call(fm, cfg(4))
+
+
 class TestGreedy:
     def test_hand_example(self):
         result = select_greedy(HAND, cfg(2))
