@@ -66,12 +66,19 @@ def _read_scores(path: str) -> np.ndarray:
 def _resolve_budget(args, n_rows: int) -> int:
     if args.budget is not None:
         return args.budget
+    if not math.isfinite(args.budget_ratio):
+        raise ContractViolationError(f"budget ratio must be finite, got {args.budget_ratio}")
     budget = int(args.budget_ratio * n_rows)
     if budget < 1:
         raise ContractViolationError(
             f"budget ratio {args.budget_ratio} yields an empty budget on {n_rows} rows"
         )
     return budget
+
+
+def _check_trials(args):
+    if args.trials < 1:
+        raise ContractViolationError(f"trials must be >= 1, got {args.trials}")
 
 
 def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
@@ -116,6 +123,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    _check_trials(args)
     rng = np.random.default_rng(args.seed)
     greedy_ratios = []
     divbs_ratios = []
@@ -146,13 +154,19 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    try:
+        ks = [int(k) for k in args.ks.split(",") if k.strip()]
+    except ValueError:
+        raise UsageError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     features = read_features(args.features)
-    with open(args.selection) as f:
-        payload = json.load(f)
+    try:
+        with open(args.selection) as f:
+            payload = json.load(f)
+    except ValueError as exc:
+        raise LoadError(f"{args.selection}: selection file is not JSON: {exc}") from None
     if not isinstance(payload, dict) or "indices" not in payload:
         raise LoadError(f"{args.selection}: selection file has no 'indices' key")
     selected = payload["indices"]
-    ks = [int(k) for k in args.ks.split(",") if k.strip()]
     report = diversity_report(features, selected, ks, eps=args.eps).to_json_dict()
     _emit(report, args.out)
     return 0
@@ -220,6 +234,7 @@ def cmd_toy(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_trials(args)
     rng = np.random.default_rng(args.seed)
     greedy_times = []
     divbs_times = []

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix
-from .objective import basis_of_subset
+from .objective import _check_subset, basis_of_subset
 
 
 @dataclass
@@ -33,9 +33,9 @@ def knn_cosine_distance(
     """Mean cosine distance to the k nearest selected neighbors.
 
     Averaged over neighbors first, then over selected rows.  Neighbor ties
-    break to the lowest index.
+    break to the lowest index.  Each k must be in [1, len(selected)).
     """
-    sel = [int(i) for i in selected]
+    sel = _check_subset(features.n_rows, selected)
     if not sel:
         raise ContractViolationError("selected index list is empty")
     X = features.values[sel]
@@ -45,6 +45,8 @@ def knn_cosine_distance(
         raise ContractViolationError(f"selected row {row} is the zero vector")
     m = len(sel)
     for k in ks:
+        if k < 1:
+            raise ContractViolationError(f"k={k} must be >= 1")
         if k >= m:
             raise ContractViolationError(f"k={k} requires more than {m} selected rows")
     Xn = X / norms[:, None]

@@ -38,6 +38,13 @@ def _check_subset(n_rows: int, subset: Sequence[int]) -> list[int]:
     return idx
 
 
+def _basis(values: np.ndarray, subset, eps: float) -> OrthonormalBasis:
+    basis = OrthonormalBasis(values.shape[1], eps)
+    for i in subset:
+        basis.extend(values[i])
+    return basis
+
+
 def basis_of_subset(
     features: FeatureMatrix, subset: Sequence[int], eps: float = DEFAULT_EPS
 ) -> OrthonormalBasis:
@@ -46,16 +53,11 @@ def basis_of_subset(
     Rows that are linearly dependent on the earlier ones are skipped.
     """
     idx = _check_subset(features.n_rows, subset)
-    basis = OrthonormalBasis(features.dim, eps)
-    for i in idx:
-        basis.extend(features.values[i])
-    return basis
+    return _basis(features.values, idx, eps)
 
 
 def _evaluate(values: np.ndarray, total: np.ndarray, subset, eps: float) -> ObjectiveValue:
-    basis = OrthonormalBasis(values.shape[1], eps)
-    for i in subset:
-        basis.extend(values[i])
+    basis = _basis(values, subset, eps)
     size = len(basis)
     if size == 0:
         return ObjectiveValue(0.0, 0.0, 0)

@@ -208,9 +208,9 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
     |x_i . running| in float32 (_Float32Screen), re-scores in float64 the rows
     that can win, and stops once running is numerically zero.  Downdated
     squared norms that cancel below _RECOMPUTE_TOL of their reference are
-    recomputed from explicit residuals.  A row is accepted only if its explicit
-    residual passes the dependence rule.  The objective comes from the
-    coefficients e . Sum.
+    recomputed from explicit residuals.  A row is accepted only if
+    OrthonormalBasis.extend takes it (its explicit residual passes the
+    dependence rule).  The objective comes from the coefficients e . Sum.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
@@ -272,16 +272,13 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
             break
         idx, score = best()
         while idx is not None:
-            res = basis.residual(X[idx])
-            norm = float(np.linalg.norm(res))
-            if norm > cfg.eps * max(1.0, float(np.linalg.norm(X[idx]))):
+            e = basis.extend(X[idx])
+            if e is not None:
                 break
             alive[idx] = False
             idx, score = best()
         else:
             break
-        e = res / norm
-        basis._append(e)
         # e . running = e . Sum (e is orthogonal to the span running was
         # deflated against), with less rounding once Sum is mostly covered
         coef = float(np.dot(e, running))

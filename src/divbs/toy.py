@@ -1,8 +1,13 @@
 """Self-contained 2-D imbalanced four-class experiment.
 
-Four Gaussian clusters with heavily skewed counts, a two-layer MLP trained
-with Adam, and online batch selection each epoch using the per-sample
-gradients of the final layer as selection features.
+Four Gaussian clusters with heavily skewed counts, a two-layer 2-100-4 ReLU
+MLP trained with Adam, and online batch selection each epoch using the
+per-sample gradients of the final layer as selection features.  Each epoch
+runs one full-batch forward pass, whose hidden activations and
+probabilities feed the accuracy, the losses and the selection features; the
+Adam step's gradients come from a forward pass over the selected rows only.
+The network shape, the Adam hyperparameters and the cluster means are
+constants.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix
 from .metrics import DiversityReport, diversity_report
-from .selectors import PAD_UNIFORM, STRATEGIES, SelectionConfig, SelectionResult
+from .selectors import STRATEGIES, SelectionConfig
 
 DEFAULT_MEANS = ((0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0))
 DEFAULT_COUNTS = (1000, 300, 150, 20)
@@ -24,7 +29,6 @@ TOY_STRATEGIES = ("uniform", "top_loss", "greedy", "divbs", "kmeanspp")
 
 @dataclass
 class ToyDatasetSpec:
-    means: tuple = DEFAULT_MEANS
     counts: tuple = DEFAULT_COUNTS
     seed: int = 0
 
@@ -34,7 +38,7 @@ def generate_toy_dataset(spec: ToyDatasetSpec) -> tuple[FeatureMatrix, np.ndarra
     rng = np.random.default_rng(spec.seed)
     points = []
     labels = []
-    for cls, (mean, count) in enumerate(zip(spec.means, spec.counts)):
+    for cls, (mean, count) in enumerate(zip(DEFAULT_MEANS, spec.counts)):
         points.append(rng.normal(loc=mean, scale=1.0, size=(count, 2)))
         labels.append(np.full(count, cls, dtype=np.int32))
     x = np.vstack(points)
@@ -44,7 +48,8 @@ def generate_toy_dataset(spec: ToyDatasetSpec) -> tuple[FeatureMatrix, np.ndarra
 
 @dataclass
 class MlpState:
-    """Two-layer ReLU MLP parameters plus Adam optimizer state."""
+    """Two-layer ReLU MLP parameters plus Adam optimizer state; the Adam
+    hyperparameters are class constants."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -53,11 +58,11 @@ class MlpState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
+    lr = 0.001
+    beta1 = 0.9
+    beta2 = 0.999
+    adam_eps = 1e-8
     PARAMS = ("w1", "b1", "w2", "b2")
 
     def __post_init__(self):
@@ -68,16 +73,9 @@ class MlpState:
             if name not in self.v:
                 self.v[name] = np.zeros_like(p)
 
-    @property
-    def n_hidden(self) -> int:
-        return self.w1.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.w2.shape[0]
-
-
-def init_mlp(seed: int, n_in: int = 2, n_hidden: int = 100, n_classes: int = 4) -> MlpState:
+def init_mlp(seed: int) -> MlpState:
+    n_in, n_hidden, n_classes = 2, 100, 4
     rng = np.random.default_rng(seed)
     w1 = rng.normal(scale=math.sqrt(2.0 / n_in), size=(n_hidden, n_in))
     w2 = rng.normal(scale=math.sqrt(2.0 / n_hidden), size=(n_classes, n_hidden))
@@ -102,6 +100,20 @@ def per_sample_loss(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, 1e-300))
 
 
+def _gradient_features(
+    hidden: np.ndarray, probs: np.ndarray, labels: np.ndarray
+) -> FeatureMatrix:
+    """last_layer_gradient_features from a forward pass already made."""
+    n, c = probs.shape
+    h = hidden.shape[1]
+    feats = np.empty((n, c * h + c))
+    delta = feats[:, c * h :]
+    delta[:] = probs
+    delta[np.arange(n), labels] -= 1.0
+    np.einsum("nc,nh->nch", delta, hidden, out=feats[:, : c * h].reshape(n, c, h))
+    return FeatureMatrix(feats, row_labels=np.asarray(labels, dtype=np.int32))
+
+
 def last_layer_gradient_features(
     model: MlpState, inputs: np.ndarray, labels: np.ndarray
 ) -> FeatureMatrix:
@@ -111,13 +123,7 @@ def last_layer_gradient_features(
     4 bias gradients; equals (p - onehot(y)) outer hidden for the weight
     block and (p - onehot(y)) for the bias block.
     """
-    hidden, probs = forward(model, inputs)
-    n = probs.shape[0]
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    w_block = np.einsum("nc,nh->nch", delta, hidden).reshape(n, -1)
-    feats = np.hstack([w_block, delta])
-    return FeatureMatrix(feats, row_labels=np.asarray(labels, dtype=np.int32))
+    return _gradient_features(*forward(model, inputs), labels)
 
 
 def loss_and_gradients(
@@ -125,12 +131,7 @@ def loss_and_gradients(
 ) -> tuple[float, dict]:
     """Mean cross-entropy and its gradient w.r.t. every parameter."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    pre = x @ model.w1.T + model.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.w2.T + model.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    hidden, probs = forward(model, x)
     n = x.shape[0]
     loss = float(per_sample_loss(probs, labels).mean())
     dlogits = probs.copy()
@@ -141,7 +142,7 @@ def loss_and_gradients(
         "b2": dlogits.sum(axis=0),
     }
     dhidden = dlogits @ model.w2
-    dpre = dhidden * (pre > 0.0)
+    dpre = dhidden * (hidden > 0.0)
     grads["w1"] = dpre.T @ x
     grads["b1"] = dpre.sum(axis=0)
     return loss, grads
@@ -201,18 +202,20 @@ def run_toy_experiment(
     seed: int = 0,
     dataset: ToyDatasetSpec | None = None,
     eps: float = DEFAULT_EPS,
-    pad_policy: str = PAD_UNIFORM,
 ) -> ToyRunReport:
     """Train the toy MLP with per-epoch batch selection.
 
-    Each epoch runs a forward pass over the whole dataset, selects
-    floor(budget_ratio * N) samples with the given strategy, and takes one
-    Adam step on the mean loss over the selected subset.
+    Each epoch runs one forward pass over the whole dataset, selects
+    floor(budget_ratio * N) samples with the given strategy (padded with
+    uniform draws if it stops short), and takes one Adam step on the mean
+    loss over the selected subset.
     """
     if strategy not in TOY_STRATEGIES:
         raise ContractViolationError(f"unknown strategy {strategy!r}")
     if not 0.0 < budget_ratio <= 1.0:
         raise ContractViolationError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
+    if epochs < 1:
+        raise ContractViolationError(f"epochs must be >= 1, got {epochs}")
     spec = dataset if dataset is not None else ToyDatasetSpec(seed=seed)
     data, labels = generate_toy_dataset(spec)
     x = data.values
@@ -220,27 +223,18 @@ def run_toy_experiment(
     budget = max(1, int(budget_ratio * n))
     model = init_mlp(seed)
     accuracy: list[float] = []
-    result: SelectionResult | None = None
-    feats: FeatureMatrix | None = None
     for epoch in range(epochs):
-        _, probs = forward(model, x)
+        hidden, probs = forward(model, x)
         accuracy.append(float(np.mean(probs.argmax(axis=1) == labels)))
-        feats = last_layer_gradient_features(model, x, labels)
+        feats = _gradient_features(hidden, probs, labels)
         losses = per_sample_loss(probs, labels)
-        cfg = SelectionConfig(
-            budget=budget,
-            eps=eps,
-            pad_policy=pad_policy,
-            seed=(seed * 1_000_003 + epoch) % 2**63,
-        )
+        cfg = SelectionConfig(budget=budget, eps=eps, seed=(seed * 1_000_003 + epoch) % 2**63)
         result = STRATEGIES["top_score" if strategy == "top_loss" else strategy](
             feats, losses, cfg
         )
         sel = result.indices
         _, grads = loss_and_gradients(model, x[sel], labels[sel])
         model = adam_step(model, grads)
-    assert result is not None and feats is not None
-    sel = result.indices
     counts = [int(np.sum(labels[sel] == c)) for c in range(len(spec.counts))]
     mask = np.zeros(n, dtype=bool)
     mask[sel] = True

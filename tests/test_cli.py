@@ -383,3 +383,51 @@ class TestBench:
         assert code == 0
         report = validate(out, schema)
         assert report["speedup"] > 0
+
+
+class TestBadInputExitCodes:
+    @pytest.fixture()
+    def twenty_rows(self, tmp_path):
+        fm = FeatureMatrix(np.random.default_rng(63).standard_normal((20, 3)))
+        path = str(tmp_path / "f.bin")
+        write_features_binary(fm, path)
+        return path
+
+    def metrics(self, features, tmp_path, indices, ks="1"):
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"indices": indices}))
+        return main(["metrics", "--features", features, "--selection", str(sel), "--ks", ks])
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_ratio(self, hand_features, ratio):
+        args = ["select", "--features", hand_features, "--strategy", "divbs"]
+        assert main(args + [f"--budget-ratio={ratio}"]) == 3
+
+    def test_oracle_check_zero_trials(self):
+        args = ["oracle-check", "--n", "4", "--d", "2", "--budget", "2", "--trials", "0"]
+        assert main(args) == 3
+
+    def test_bench_zero_trials(self):
+        assert main(["bench", "--n", "8", "--d", "4", "--budget", "2", "--trials", "0"]) == 3
+
+    def test_toy_zero_epochs(self, tmp_path):
+        args = ["toy", "--strategy", "uniform", "--epochs", "0", "--out-dir", str(tmp_path)]
+        assert main(args) == 3
+
+    @pytest.mark.parametrize("ks", ["0", "-1", "1,0"])
+    def test_metrics_k_below_one(self, twenty_rows, tmp_path, capsys, ks):
+        assert self.metrics(twenty_rows, tmp_path, [0, 1, 2], ks) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_metrics_index_out_of_range(self, twenty_rows, tmp_path, capsys, bad):
+        assert self.metrics(twenty_rows, tmp_path, [0, 1, bad]) == 3
+        assert "out of range" in capsys.readouterr().err
+
+    def test_metrics_non_integer_ks_usage_error(self, twenty_rows, tmp_path):
+        assert self.metrics(twenty_rows, tmp_path, [0, 1, 2], "x") == 2
+
+    def test_metrics_selection_not_json(self, twenty_rows, tmp_path):
+        sel = tmp_path / "sel.json"
+        sel.write_text("indices: [0, 1]\n")
+        assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3

@@ -140,3 +140,17 @@ class TestDiversityReport:
         assert 0 <= rep.selection_rank <= min(4, fm.dim)
         for v in rep.knn_mean_cos_dist.values():
             assert 0.0 <= v <= 2.0
+
+
+class TestIndexAndKChecks:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_index_rejected_before_indexing(self, bad):
+        fm = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ContractViolationError, match="out of range"):
+            knn_cosine_distance(fm, [0, bad], [1])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        fm = FeatureMatrix(np.eye(3))
+        with pytest.raises(ContractViolationError, match=f"k={k}"):
+            knn_cosine_distance(fm, [0, 1, 2], [k])

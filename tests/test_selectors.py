@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from divbs.errors import ContractViolationError
 from divbs.linalg import FeatureMatrix, OrthonormalBasis, batch_sum
+from divbs.metrics import selection_rank
 from divbs.objective import representativeness
 from divbs.selectors import (
     SelectionConfig,
@@ -288,3 +291,38 @@ class TestDeterminismAndScaling:
         for selector in (select_greedy, select_divbs, select_uniform, select_kmeanspp):
             runs = [selector(fm, cfg(4, seed=11)).indices for _ in range(3)]
             assert runs[0] == runs[1] == runs[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    d=st.integers(1, 16),
+    rank=st.integers(1, 16),
+    duplicates=st.integers(0, 8),
+    zeros=st.integers(0, 8),
+    budget=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    exact=st.booleans(),
+)
+def test_rank_deficient_batches_select_independent_rows(
+    n, d, rank, duplicates, zeros, budget, seed, exact
+):
+    """Duplicate rows, zero rows and a rank below the budget: every pick must
+    pass the dependence rule, so the picks are distinct, nonzero and linearly
+    independent, and the objective the kernel reports from its own
+    coefficients agrees with one rebuilt from the picked rows."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, d)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    for _ in range(duplicates):
+        X[rng.integers(n)] = X[rng.integers(n)]
+    X[rng.integers(n, size=zeros)] = 0.0
+    assume(np.any(X != 0.0))
+    fm = FeatureMatrix(X)
+    select = select_greedy if exact else select_divbs
+    result = select(fm, cfg(min(budget, n)))
+    idx = result.indices
+    assert len(set(idx)) == len(idx)
+    assert all(np.any(X[i] != 0.0) for i in idx)
+    assert selection_rank(fm, idx) == len(idx)
+    assert result.objective.r == pytest.approx(representativeness(fm, idx).r, rel=1e-9)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from divbs import toy
+from divbs.errors import ContractViolationError
 from divbs.toy import (
     MlpState,
     ToyDatasetSpec,
@@ -189,3 +191,37 @@ class TestExperiment:
         assert all(0.0 <= a <= 1.0 for a in rep.accuracy)
         assert len(rep.final_indices) == 10
         assert sum(rep.cluster_counts) == 10
+
+
+class TestSingleForwardPass:
+    def test_one_full_batch_forward_per_epoch(self, monkeypatch):
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=16)
+        rows = []
+        original = toy.forward
+
+        def counting(model, inputs):
+            rows.append(np.atleast_2d(inputs).shape[0])
+            return original(model, inputs)
+
+        monkeypatch.setattr(toy, "forward", counting)
+        run_toy_experiment("divbs", 0.2, epochs=3, seed=16, dataset=spec)
+        assert rows.count(50) == 3
+
+    def test_features_equal_outer_product_layout(self):
+        model = init_mlp(seed=17)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(50, 2))
+        y = rng.integers(0, 4, size=50)
+        hidden, probs = forward(model, x)
+        delta = probs.copy()
+        delta[np.arange(50), y] -= 1.0
+        expected = np.hstack([np.einsum("nc,nh->nch", delta, hidden).reshape(50, -1), delta])
+        got = last_layer_gradient_features(model, x, y).values
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_rejects_fewer_than_one_epoch(self, epochs):
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
+        with pytest.raises(ContractViolationError, match="epochs"):
+            run_toy_experiment("uniform", 0.2, epochs=epochs, seed=18, dataset=spec)
