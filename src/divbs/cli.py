@@ -167,6 +167,8 @@ def cmd_metrics(args) -> int:
     if not isinstance(payload, dict) or "indices" not in payload:
         raise LoadError(f"{args.selection}: selection file has no 'indices' key")
     selected = payload["indices"]
+    if not isinstance(selected, list):
+        raise LoadError(f"{args.selection}: 'indices' is not a list")
     report = diversity_report(features, selected, ks, eps=args.eps).to_json_dict()
     _emit(report, args.out)
     return 0

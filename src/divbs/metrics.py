@@ -66,12 +66,9 @@ def knn_cosine_distance(
 def group_proportions(row_labels, selected: Sequence[int]) -> dict[int, float]:
     """Empirical fraction of each group id among the selected rows."""
     labels = np.asarray(row_labels)
-    sel = [int(i) for i in selected]
+    sel = _check_subset(labels.shape[0], selected)
     if not sel:
         return {}
-    for i in sel:
-        if not 0 <= i < labels.shape[0]:
-            raise ContractViolationError(f"selected index {i} has no label")
     groups, counts = np.unique(labels[sel], return_counts=True)
     return {int(g): float(c) / len(sel) for g, c in zip(groups, counts)}
 

@@ -29,7 +29,13 @@ class ObjectiveValue:
 
 
 def _check_subset(n_rows: int, subset: Sequence[int]) -> list[int]:
-    idx = [int(i) for i in subset]
+    """The subset as a list of Python ints, each an int or numpy integer (not
+    a bool) in [0, n_rows), with no index twice."""
+    idx = []
+    for i in subset:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ContractViolationError(f"index {i!r} is not an integer")
+        idx.append(int(i))
     if len(set(idx)) != len(idx):
         raise ContractViolationError(f"subset contains duplicate indices: {idx}")
     for i in idx:

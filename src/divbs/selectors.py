@@ -13,8 +13,10 @@ float64 argmax, bitwise reproducible whatever the BLAS thread split, from
 half the bytes per step; each divbs call holds an extra N x D float32 copy
 of the features (N D 4 bytes).  Both raise ContractViolationError when no
 row clears the dependence floor eps * max(1, ||x||) or a squared norm
-overflows.  The remaining selectors are baselines and reject
-normalize_features, which they would ignore.  All selectors are
+overflows.  Both report the objective they get from their coefficients.  The
+remaining selectors are baselines: they reject normalize_features, which
+they would ignore, and leave their objective to be evaluated on first read
+(SelectionResult), so their wall_time excludes it.  All selectors are
 deterministic: among equal computed scores the argmax takes the lowest row
 index (scores that are equal in exact arithmetic may still differ by
 rounding), and stochastic strategies are driven entirely by the config
@@ -55,11 +57,51 @@ class SelectionConfig:
 
 @dataclass
 class SelectionResult:
+    """A selection and its objective, r, r_prime and basis size of the
+    unpadded picks (the rows whose padded flag is False).
+
+    Greedy and divbs fill objective from their coefficients.  The baselines
+    defer it: the first read of result.objective evaluates representativeness
+    over the unpadded picks and stores the value in place of the deferred
+    object, dropping its reference to the features.  So the objective, and the
+    basis of the picks it builds, cost nothing until something reads them.
+    wall_time is the selector's own time, without padding or a deferred
+    objective.
+    """
+
     indices: list[int]
     padded: list[bool]
     objective: ObjectiveValue
     step_scores: list[float]
     wall_time: float
+
+
+class _DeferredObjective:
+    """The objective of a baseline's picks, for SelectionResult to evaluate on
+    first read.  It looks representativeness up in this module when called, so
+    a wrapper swapped in here sees the call.  A class, not a closure, so that
+    a result stays picklable."""
+
+    def __init__(self, features: FeatureMatrix, indices: list[int], cfg: SelectionConfig):
+        self.args = (features, indices, cfg.eps)
+
+    def __call__(self) -> ObjectiveValue:
+        return representativeness(*self.args)
+
+
+def _read_objective(result: SelectionResult) -> ObjectiveValue:
+    if isinstance(result._objective, _DeferredObjective):
+        result._objective = result._objective()
+    return result._objective
+
+
+def _write_objective(result: SelectionResult, value) -> None:
+    result._objective = value
+
+
+# Set after @dataclass, which would otherwise take the property for the field's
+# default; the generated __init__ stores through the setter.
+SelectionResult.objective = property(_read_objective, _write_objective)
 
 
 def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
@@ -85,9 +127,7 @@ def _prepared_values(features: FeatureMatrix, cfg: SelectionConfig) -> np.ndarra
     return X / norms[:, None]
 
 
-def _finish(features, cfg, indices, scores, t0, objective=None) -> SelectionResult:
-    if objective is None:
-        objective = representativeness(features, indices, cfg.eps)
+def _finish(features, cfg, indices, scores, t0, objective) -> SelectionResult:
     result = SelectionResult(
         indices=list(indices),
         padded=[False] * len(indices),
@@ -325,7 +365,7 @@ def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRe
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
-    return _finish(features, cfg, indices, [], t0)
+    return _finish(features, cfg, indices, [], t0, _DeferredObjective(features, indices, cfg))
 
 
 def select_top_score(
@@ -351,7 +391,9 @@ def select_top_score(
     order = np.lexsort((np.arange(features.n_rows), -scores))
     indices = order[: cfg.budget].tolist()
     step_scores = [float(scores[i]) for i in indices]
-    return _finish(features, cfg, indices, step_scores, t0)
+    return _finish(
+        features, cfg, indices, step_scores, t0, _DeferredObjective(features, indices, cfg)
+    )
 
 
 def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -384,7 +426,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
         indices.append(idx)
         chosen[idx] = True
         d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
-    return _finish(features, cfg, indices, [], t0)
+    return _finish(features, cfg, indices, [], t0, _DeferredObjective(features, indices, cfg))
 
 
 def pad_selection(
@@ -400,10 +442,12 @@ def pad_selection(
     # independent stream so padding never perturbs the selector's own draws
     rng = np.random.default_rng([cfg.seed, 0x9AD])
     extra = rng.choice(pool, size=missing, replace=False).tolist()
+    # objective passed through unread: replace would read every field it is not given
     return replace(
         result,
         indices=result.indices + [int(i) for i in extra],
         padded=result.padded + [True] * missing,
+        objective=result._objective,
     )
 
 

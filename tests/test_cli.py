@@ -431,3 +431,28 @@ class TestBadInputExitCodes:
         sel = tmp_path / "sel.json"
         sel.write_text("indices: [0, 1]\n")
         assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3
+
+
+class TestMetricsIndexTypes:
+    """A selection file's indices must be JSON integers: floats, booleans and
+    strings exit 3 instead of being truncated, coerced or crashing."""
+
+    def metrics(self, tmp_path, indices):
+        features = str(tmp_path / "f.bin")
+        fm = FeatureMatrix(np.random.default_rng(64).standard_normal((20, 3)))
+        write_features_binary(fm, features)
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"indices": indices}))
+        return main(["metrics", "--features", features, "--selection", str(sel), "--ks", "1"])
+
+    @pytest.mark.parametrize("indices", [[0.7, 1.2, 2.9], [True, 2, 3], ["a", 1, 2]])
+    def test_non_integer_index_exits_3(self, tmp_path, capsys, indices):
+        assert self.metrics(tmp_path, indices) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an integer" in captured.err
+
+    @pytest.mark.parametrize("indices", [5, None, "012"])
+    def test_indices_not_a_list_exits_3(self, tmp_path, capsys, indices):
+        assert self.metrics(tmp_path, indices) == 3
+        assert "'indices' is not a list" in capsys.readouterr().err

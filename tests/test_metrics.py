@@ -154,3 +154,14 @@ class TestIndexAndKChecks:
         fm = FeatureMatrix(np.eye(3))
         with pytest.raises(ContractViolationError, match=f"k={k}"):
             knn_cosine_distance(fm, [0, 1, 2], [k])
+
+
+class TestGroupProportionIndices:
+    @pytest.mark.parametrize("selected", [[0.7, 1.2], [True, 2], ["a", 1]])
+    def test_non_integer_index_rejected(self, selected):
+        with pytest.raises(ContractViolationError, match="is not an integer"):
+            group_proportions([0, 1, 1, 2], selected)
+
+    def test_duplicate_index_rejected(self):
+        with pytest.raises(ContractViolationError, match="duplicate"):
+            group_proportions([0, 1, 1, 2], [1, 1])

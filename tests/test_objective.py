@@ -175,3 +175,18 @@ class TestBruteForce:
             _, opt = brute_force_optimum(fm, b)
             greedy = select_greedy(fm, SelectionConfig(budget=b, pad_policy="none"))
             assert opt.r >= greedy.objective.r - 1e-12
+
+
+class TestSubsetIndexTypes:
+    @pytest.mark.parametrize(
+        "subset", [[0.7, 1.2, 2.9], [True, 2, 3], ["a", 1, 2], [np.float64(1.0)], [np.bool_(True)]]
+    )
+    def test_non_integer_index_rejected(self, subset):
+        fm = FeatureMatrix(np.eye(4))
+        with pytest.raises(ContractViolationError, match="is not an integer"):
+            representativeness(fm, subset)
+
+    def test_numpy_integers_accepted(self):
+        fm = FeatureMatrix(np.eye(4))
+        subset = np.array([1, 3], dtype=np.int32)
+        assert representativeness(fm, subset) == representativeness(fm, [1, 3])
