@@ -6,8 +6,11 @@ per-sample gradients of the final layer as selection features.  Each epoch
 runs one full-batch forward pass, whose hidden activations and
 probabilities feed the accuracy, the losses and the selection features; the
 Adam step's gradients come from a forward pass over the selected rows only.
-The network shape, the Adam hyperparameters and the cluster means are
-constants.
+An epoch's N x (4*100 + 4) gradient features are built only when something
+reads them: greedy, divbs and kmeanspp read them every epoch, while uniform
+and top_loss read only the row count (and the losses), so their runs build
+the matrix once, for the final diversity report.  The network shape, the
+Adam hyperparameters and the cluster means are constants.
 """
 from __future__ import annotations
 
@@ -112,6 +115,38 @@ def _gradient_features(
     delta[np.arange(n), labels] -= 1.0
     np.einsum("nc,nh->nch", delta, hidden, out=feats[:, : c * h].reshape(n, c, h))
     return FeatureMatrix(feats, row_labels=np.asarray(labels, dtype=np.int32))
+
+
+class _EpochFeatures(FeatureMatrix):
+    """An epoch's gradient features, built by _gradient_features and validated
+    on the first read of values or row_labels, then kept.  n_rows and dim come
+    from the forward pass, so a strategy that reads only them builds nothing."""
+
+    def __init__(self, hidden: np.ndarray, probs: np.ndarray, labels: np.ndarray):
+        self._forward = (hidden, probs, labels)
+        self._built: FeatureMatrix | None = None
+
+    def _matrix(self) -> FeatureMatrix:
+        if self._built is None:
+            self._built = _gradient_features(*self._forward)
+        return self._built
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._matrix().values
+
+    @property
+    def row_labels(self) -> np.ndarray:
+        return self._matrix().row_labels
+
+    @property
+    def n_rows(self) -> int:
+        return self._forward[1].shape[0]
+
+    @property
+    def dim(self) -> int:
+        hidden, probs, _ = self._forward
+        return probs.shape[1] * (hidden.shape[1] + 1)
 
 
 def last_layer_gradient_features(
@@ -226,7 +261,7 @@ def run_toy_experiment(
     for epoch in range(epochs):
         hidden, probs = forward(model, x)
         accuracy.append(float(np.mean(probs.argmax(axis=1) == labels)))
-        feats = _gradient_features(hidden, probs, labels)
+        feats = _EpochFeatures(hidden, probs, labels)
         losses = per_sample_loss(probs, labels)
         cfg = SelectionConfig(budget=budget, eps=eps, seed=(seed * 1_000_003 + epoch) % 2**63)
         result = STRATEGIES["top_score" if strategy == "top_loss" else strategy](

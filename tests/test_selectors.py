@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import divbs.selectors as selectors
 from divbs.errors import ContractViolationError
 from divbs.linalg import FeatureMatrix, OrthonormalBasis, batch_sum
 from divbs.metrics import selection_rank
@@ -19,6 +20,8 @@ from divbs.selectors import (
     select_top_score,
     select_uniform,
 )
+
+from reference_selectors import reference_greedy
 
 HAND = FeatureMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
@@ -326,3 +329,63 @@ def test_rank_deficient_batches_select_independent_rows(
     assert all(np.any(X[i] != 0.0) for i in idx)
     assert selection_rank(fm, idx) == len(idx)
     assert result.objective.r == pytest.approx(representativeness(fm, idx).r, rel=1e-9)
+
+
+def offset_gaussian(n, d, scale, offset, seed):
+    """Gaussian rows around a shared random mean offset (rows nearly parallel
+    when the offset is large), times scale."""
+    rng = np.random.default_rng(seed)
+    return FeatureMatrix(scale * (rng.standard_normal((n, d)) + offset * rng.standard_normal(d)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(2, 24),
+    budget=st.integers(1, 23),
+    scale=st.sampled_from([2.0**-8, 0.37, 1.0, 3.0, 2.0**9, 1e5]),
+    offset=st.sampled_from([0.0, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_greedy_matches_reference_on_random_shapes(n, d, budget, scale, offset, seed):
+    """The kernel's exact greedy picks the rows the explicit-residual
+    reference loop picks, with the same step scores to rel 1e-9, below the
+    rank of a Gaussian batch (so no exact ties)."""
+    budget = min(budget, n - 1, d - 1)
+    assume(budget >= 1)
+    fm = offset_gaussian(n, d, scale, offset, seed)
+    config = cfg(budget)
+    result = select_greedy(fm, config)
+    ref_indices, ref_scores = reference_greedy(fm, config)
+    assert result.indices == ref_indices
+    np.testing.assert_allclose(result.step_scores, ref_scores, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 24),
+    budget=st.integers(1, 60),
+    scale=st.sampled_from([2.0**-8, 0.37, 1.0, 3.0, 2.0**9, 1e5]),
+    offset=st.sampled_from([0.0, 1.0, 10.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    exact=st.booleans(),
+)
+def test_kernel_basis_stays_orthonormal(n, d, budget, scale, offset, seed, exact):
+    """The basis the kernel accepts its picks into has max |E E' - I| within
+    16 d u, also for nearly parallel rows, where Gram-Schmidt cancels most."""
+    bases = []
+
+    class Recorded(OrthonormalBasis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            bases.append(self)
+
+    fm = offset_gaussian(n, d, scale, offset, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selectors, "OrthonormalBasis", Recorded)
+        result = (select_greedy if exact else select_divbs)(fm, cfg(min(budget, n)))
+    (basis,) = bases
+    assert len(basis) == sum(not p for p in result.padded)
+    err = np.abs(basis.gram() - np.eye(len(basis))).max(initial=0.0)
+    assert err <= 16 * d * 2.0**-53

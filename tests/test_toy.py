@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from divbs import toy
 from divbs.errors import ContractViolationError
+from divbs.selectors import STRATEGIES
 from divbs.toy import (
     MlpState,
     ToyDatasetSpec,
@@ -225,3 +227,70 @@ class TestSingleForwardPass:
         spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
         with pytest.raises(ContractViolationError, match="epochs"):
             run_toy_experiment("uniform", 0.2, epochs=epochs, seed=18, dataset=spec)
+
+
+class TestLazyFeatures:
+    """An epoch's gradient features are built only when something reads them:
+    the selector (greedy, divbs, kmeanspp) or the final diversity report."""
+
+    SPECS = [(seed, ToyDatasetSpec(counts=(200, 60, 30, 4), seed=seed)) for seed in (0, 1)]
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        made = []
+        original = toy._gradient_features
+
+        def counting(hidden, probs, labels):
+            made.append(probs.shape[0])
+            return original(hidden, probs, labels)
+
+        monkeypatch.setattr(toy, "_gradient_features", counting)
+        return made
+
+    @pytest.mark.parametrize("strategy", toy.TOY_STRATEGIES)
+    def test_builds_per_run(self, builds, strategy):
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=19)
+        run_toy_experiment(strategy, 0.2, epochs=4, seed=19, dataset=spec)
+        expected = 1 if strategy in ("uniform", "top_loss") else 4
+        assert builds == [50] * expected
+
+    def test_shape_read_without_build(self, builds):
+        model = init_mlp(seed=20)
+        data, labels = generate_toy_dataset(ToyDatasetSpec(counts=(30, 10, 5, 5), seed=20))
+        hidden, probs = forward(model, data.values)
+        feats = toy._EpochFeatures(hidden, probs, labels)
+        assert (feats.n_rows, feats.dim) == (50, 404)
+        assert builds == []
+        assert feats.values.shape == (feats.n_rows, feats.dim)
+        feats.row_labels  # the matrix is built once and kept
+        assert builds == [50]
+        eager = last_layer_gradient_features(model, data.values, labels)
+        assert feats.values.tobytes() == eager.values.tobytes()
+        assert feats.row_labels.tobytes() == eager.row_labels.tobytes()
+
+    @staticmethod
+    def report_json(report):
+        d = report.to_json_dict()
+        d["accuracy"] = [a.hex() for a in report.accuracy]
+        return json.dumps(d, sort_keys=True)
+
+    @pytest.mark.parametrize("strategy", toy.TOY_STRATEGIES)
+    def test_reports_equal_eager_builds(self, monkeypatch, strategy):
+        """A run whose strategy reads the features every epoch reports the
+        same bits as the run that builds them only when read."""
+        def runs():
+            return [
+                self.report_json(run_toy_experiment(strategy, epochs=10, seed=seed, dataset=spec))
+                for seed, spec in self.SPECS
+            ]
+
+        lazy = runs()
+        name = "top_score" if strategy == "top_loss" else strategy
+        original = STRATEGIES[name]
+
+        def reading(features, scores, cfg):
+            features.values  # builds this epoch's matrix
+            return original(features, scores, cfg)
+
+        monkeypatch.setitem(STRATEGIES, name, reading)
+        assert runs() == lazy
