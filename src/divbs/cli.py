@@ -95,6 +95,8 @@ def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
 
 
 def cmd_select(args) -> int:
+    if args.scores is not None and args.strategy != "top_score":
+        raise UsageError(f"--scores is read only by --strategy top_score, not {args.strategy}")
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
     cfg = SelectionConfig(

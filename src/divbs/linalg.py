@@ -117,15 +117,23 @@ class OrthonormalBasis:
         r = np.array(v, dtype=np.float64)
         if r.ndim not in (1, 2):
             raise ContractViolationError(f"expected a vector or rows, got shape {r.shape}")
-        if r.shape[-1] != self.dim:
-            raise ContractViolationError(
-                f"vector length {r.shape[-1]} does not match basis dim {self.dim}"
-            )
-        E = self._store[: self._size]
-        if self._size:
-            r -= (E.T @ (E @ r.T)).T
-            r -= (E.T @ (E @ r.T)).T
+        self._check_length(r.shape[-1])
+        self._deflate(r.T)
         return r
+
+    def _check_length(self, length: int):
+        if length != self.dim:
+            raise ContractViolationError(
+                f"vector length {length} does not match basis dim {self.dim}"
+            )
+
+    def _deflate(self, rt: np.ndarray):
+        """Subtract, in place and in two sweeps, the projection of the columns
+        of rt (one vector, or the transpose of a row stack) onto the span."""
+        if self._size:
+            E = self._store[: self._size]
+            rt -= E.T @ (E @ rt)
+            rt -= E.T @ (E @ rt)
 
     def _append(self, e: np.ndarray):
         if self._size == self._store.shape[0]:
@@ -142,13 +150,16 @@ class OrthonormalBasis:
         if self._size >= self.dim:
             return None
         vv = _as_float_vector(v)
-        r = self.residual(vv)
-        norm = float(np.linalg.norm(r))
-        if norm <= self.eps * max(1.0, float(np.linalg.norm(vv))):
+        self._check_length(vv.shape[0])
+        r = vv.copy()
+        self._deflate(r)
+        # sqrt(r . r) is how np.linalg.norm computes a real 1-D norm, bit for bit
+        norm = math.sqrt(float(r.dot(r)))
+        if norm <= self.eps * max(1.0, math.sqrt(float(vv.dot(vv)))):
             return None
-        e = r / norm
-        self._append(e)
-        return e
+        r /= norm
+        self._append(r)
+        return r
 
     def gram(self) -> np.ndarray:
         """Full Gram matrix of the basis vectors (identity when healthy)."""

@@ -11,12 +11,15 @@ each float32 score carries a rigorous error bound, and every row whose
 interval reaches the leader's is re-scored in float64.  Its pick is the
 float64 argmax, bitwise reproducible whatever the BLAS thread split, from
 half the bytes per step; each divbs call holds an extra N x D float32 copy
-of the features (N D 4 bytes).  Both raise ContractViolationError when no
-row clears the dependence floor eps * max(1, ||x||) or a squared norm
-overflows.  Both report the objective they get from their coefficients.  The
-remaining selectors are baselines: they reject normalize_features, which
-they would ignore, and leave their objective to be evaluated on first read
-(SelectionResult), so their wall_time excludes it.  All selectors are
+of the features (N D 4 bytes) and a float32 penalty row (0 for a live row,
+-inf for a picked or rejected one) that one add per step folds into the
+scores, so dead rows need no fresh mask.  Both raise ContractViolationError
+when no row clears the dependence floor eps * max(1, ||x||) or a squared
+norm overflows.  Both report the objective they get from their
+coefficients.  The remaining selectors are baselines: they reject
+normalize_features, which they would ignore, and leave their objective to be
+evaluated on first read (SelectionResult), so their wall_time excludes it.
+All selectors are
 deterministic: among equal computed scores the argmax takes the lowest row
 index (scores that are equal in exact arithmetic may still differ by
 rounding), and stochastic strategies are driven entirely by the config
@@ -179,6 +182,11 @@ class _Float32Screen:
     The factor 1 + 2^-20 on kappa and the tiny64 terms also cover the float64
     rounding of the norms, of the bound and of the float64 re-score.  kappa
     is +inf once d u >= 1, which makes every row a candidate.
+
+    The screen owns its float32 buffers (r32 and the scores s, reused by every
+    step) and a float32 penalty row: 0 for a live row, -inf for a dead one
+    (retire).  Adding the penalty to the scores puts every dead row below
+    every live one, so a leader at -inf means that every row is dead.
     """
 
     def __init__(self, X: np.ndarray, nrm2: np.ndarray):
@@ -199,42 +207,62 @@ class _Float32Screen:
         self.kx_max = float(self.kx.max())
         self.a32 = (1.0 + gamma) * _TINY32
         self.a64 = 4 * d * _TINY64 * self.sx
+        self.r32 = np.empty(d, np.float32)
+        self.s = np.empty(n, np.float32)
+        self.penalty = np.zeros(n, np.float32)
+
+    def retire(self, rows):
+        """Mark rows (an index or a boolean mask) dead: best never returns them."""
+        self.penalty[rows] = -np.inf
 
     def scores(self, running: np.ndarray):
         """Return (s, nrs, a, scale): float32 scores s_i and the terms of
         bound_i = kx_i nrs + a, so that s_i - bound_i <= scale |x_i . running|
-        <= s_i + bound_i, with |x_i . running| exact or as evaluated in float64."""
+        <= s_i + bound_i, with |x_i . running| exact or as evaluated in float64.
+        s is the screen's own buffer, overwritten by the next call."""
         d = running.shape[0]
-        nr = math.sqrt(float(np.dot(running, running)) + 2 * d * _TINY64)
+        nr = math.sqrt(float(running.dot(running)) + 2 * d * _TINY64)
         sr = _pow2_scale(nr * self.m)
-        s = np.abs(self.X32 @ (running * sr).astype(np.float32))
+        # the float64 product by a power of two is exact; one rounding to float32
+        r32 = np.multiply(running, sr, out=self.r32, casting="same_kind")
+        s = np.abs(np.dot(self.X32, r32, out=self.s), out=self.s)
         nrs = nr * sr
         a = self.a32 * (2.0 * math.sqrt(d) * (self.m + nrs) + 3 * d) + self.a64 * sr
         return s, nrs, a, self.sx * sr
 
-    def best(self, running: np.ndarray, alive: np.ndarray):
-        """The alive row with the largest float64 |x_i . running| (lowest index
-        on ties) and that score, or (None, None).  Only rows whose upper bound
-        reaches the leader's lower bound can win, and only they are re-scored
-        in float64 (_f64_scores)."""
+    def best(self, running: np.ndarray):
+        """The live row with the largest float64 |x_i . running| (lowest index
+        on ties) and that score, or (None, None) when every row is dead.  Only
+        rows whose upper bound reaches the leader's lower bound can win, and
+        only they are re-scored in float64 (_f64_scores)."""
         s, nrs, a, _ = self.scores(running)
-        s[~alive] = -1.0  # below every score, so a dead row leads only if all are dead
-        lead = int(np.argmax(s))
-        if not alive[lead]:
+        np.add(s, self.penalty, out=s)
+        lead = int(s.argmax())
+        top = float(s[lead])
+        if top == -math.inf:
             return None, None
         # s_i + bound_i >= s_lead - bound_lead, first against the widest bound
-        top = float(s[lead])
         floor = top - self.kx[lead] * nrs - 2.0 * a
         wide = floor - self.kx_max * nrs
-        s[lead] = -1.0
-        if float(s.max()) < wide:  # the leader is the only candidate
+        s[lead] = -np.inf
+        if float(s[s.argmax()]) < wide:  # the leader is the only candidate
             return lead, float(_f64_scores(self.X[lead : lead + 1], running)[0])
         s[lead] = top
-        rows = np.flatnonzero(s >= np.float64(wide))
-        rows = rows[(s[rows] + self.kx[rows] * nrs >= floor) & alive[rows]]
-        exact = _f64_scores(self.X[rows], running)
-        k = int(np.argmax(exact))
+        # Compared in float32: the nearest float32 to wide is at most the least
+        # float32 >= wide, so the window can only grow.  Live rows score >= 0,
+        # so a threshold of at least -1 keeps the dead rows (-inf) out of it.
+        rows = (s >= np.float32(max(wide, -1.0))).nonzero()[0]
+        rows = rows[s[rows] + self.kx[rows] * nrs >= floor]
+        exact = _f64_scores(self.X.take(rows, axis=0), running)
+        k = int(exact.argmax())
         return int(rows[k]), float(exact[k])
+
+
+def _top(s: np.ndarray):
+    """The row with the largest score (lowest index on ties) and that score,
+    or (None, None) when every score is -inf."""
+    i = int(s.argmax())
+    return (i, s[i]) if s[i] > -np.inf else (None, None)
 
 
 def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: bool):
@@ -250,7 +278,10 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
     squared norms that cancel below _RECOMPUTE_TOL of their reference are
     recomputed from explicit residuals.  A row is accepted only if
     OrthonormalBasis.extend takes it (its explicit residual passes the
-    dependence rule).  The objective comes from the coefficients e . Sum.
+    dependence rule); a rejected row is dead for good.  Greedy keeps its
+    dead rows in the alive mask, which its stale-norm recompute reads; divbs
+    hands them to the screen (_Float32Screen.retire) after set-up.  The
+    objective comes from the coefficients e . Sum.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
@@ -277,8 +308,9 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
     if exact:
         proj = X @ total
         ref = nrm2.copy()
-    else:
+    else:  # from here on the screen keeps the dead rows, not alive
         screen = _Float32Screen(X, nrm2)
+        screen.retire(~alive)
     indices: list[int] = []
     scores: list[float] = []
     coeffs: list[float] = []
@@ -297,31 +329,27 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
             alive &= nrm2 > floor2
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.abs(proj) / np.sqrt(nrm2)
-
-            def best():
-                s[~alive] = -np.inf
-                i = int(np.argmax(s))
-                return (i, s[i]) if s[i] > -np.inf else (None, None)
-
-        elif sum2 > sum_floor2:
-
-            def best():
-                return screen.best(running, alive)
-
-        else:
+            s[~alive] = -np.inf
+        elif sum2 <= sum_floor2:
             break
-        idx, score = best()
-        while idx is not None:
+        while True:
+            idx, score = _top(s) if exact else screen.best(running)
+            if idx is None:
+                break
+            # picked, or dependent on the picks: dead either way
+            if exact:
+                alive[idx] = False
+                s[idx] = -np.inf
+            else:
+                screen.retire(idx)
             e = basis.extend(X[idx])
             if e is not None:
                 break
-            alive[idx] = False
-            idx, score = best()
-        else:
+        if idx is None:
             break
         # e . running = e . Sum (e is orthogonal to the span running was
         # deflated against), with less rounding once Sum is mostly covered
-        coef = float(np.dot(e, running))
+        coef = float(e.dot(running))
         sum2 -= coef * coef
         if exact:
             c = X @ e
@@ -329,7 +357,6 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
             nrm2 -= c * c
         else:
             running -= coef * e
-        alive[idx] = False
         indices.append(idx)
         scores.append(abs(coef) if exact else score)
         coeffs.append(coef)

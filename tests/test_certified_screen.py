@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbs import selectors
+from divbs import linalg, selectors
 from divbs.linalg import FeatureMatrix
 from divbs.selectors import SelectionConfig, _Float32Screen, select_divbs
 
@@ -89,6 +90,115 @@ def test_every_row_is_a_candidate_when_float32_cannot_bound(monkeypatch):
         assert np.isinf(screen_of(fm.values).kx_max)
         cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none")
         assert select_divbs(fm, cfg).indices == reference_divbs_direct(fm, cfg)[0]
+
+
+def test_every_row_is_a_candidate_without_runtime_warnings(monkeypatch):
+    """With kappa = +inf the window bound is -inf.  Dead rows (score -inf)
+    must stay out of it: -inf + inf would warn "invalid value"."""
+    monkeypatch.setattr(selectors, "_U32", 0.5)
+    rng = np.random.default_rng(124)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(2, 12))
+            fm = FeatureMatrix(rng.standard_normal((n, d)))
+            cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none")
+            assert select_divbs(fm, cfg).indices == reference_divbs_direct(fm, cfg)[0]
+            screen = screen_of(fm.values)
+            screen.retire(np.arange(0, n, 2))
+            assert screen.best(rng.standard_normal(d))[0] % 2 == 1
+
+
+def test_rejected_duplicate_never_leads_again():
+    """Row 1 duplicates row 0 exactly.  Once row 0 is picked, row 1 leads
+    with the same float32 score, OrthonormalBasis.extend rejects it, and the
+    kernel retires it.  From then on the screen must never return it, even
+    for running vectors under which its float32 score is the largest."""
+    rng = np.random.default_rng(127)
+    X = rng.standard_normal((30, 8))
+    X[1] = X[0]
+    screen = screen_of(X)
+    basis = linalg.OrthonormalBasis(8)
+    running = X[0] + 0.01 * rng.standard_normal(8)
+    assert screen.best(running)[0] == 0
+    assert basis.extend(X[0]) is not None
+    screen.retire(0)
+    assert screen.best(running)[0] == 1
+    assert basis.extend(X[1]) is None
+    screen.retire(1)
+    for _ in range(20):
+        s = screen.scores(running)[0]
+        assert s[1] == s.max()
+        assert screen.best(running)[0] not in (0, 1)
+        running = X[0] + 0.01 * rng.standard_normal(8)
+
+
+def test_kernel_retires_rejected_duplicates(monkeypatch):
+    """Rows 1-3 are exact duplicates of the first pick, +-(B, B), and row 4 is
+    tiny.  After the first pick the duplicates' float64 scores are rounding
+    noise, still far above row 4's, so each leads once and
+    OrthonormalBasis.extend rejects it; a duplicate the screen returned twice
+    would stall the kernel."""
+    B, tiny = 1e12, 1e-6
+    X = np.array([[B, B], [B, B], [-B, -B], [-B, -B], [0.0, tiny]])
+    leaders, rejected = [], []
+    extend, best = linalg.OrthonormalBasis.extend, selectors._Float32Screen.best
+
+    def recording_extend(basis, v):
+        e = extend(basis, v)
+        if e is None:
+            rejected.append(leaders[-1])
+        return e
+
+    def recording_best(screen, running):
+        assert len(leaders) < 10, "the screen keeps returning rejected rows"
+        exact = np.abs((X * running).sum(axis=1))
+        assert all(exact[k] == exact.max() for k in rejected)
+        lead, score = best(screen, running)
+        leaders.append(lead)
+        return lead, score
+
+    monkeypatch.setattr(linalg.OrthonormalBasis, "extend", recording_extend)
+    monkeypatch.setattr(selectors._Float32Screen, "best", recording_best)
+    fm = FeatureMatrix(X)
+    cfg = SelectionConfig(budget=2, pad_policy="none")
+    assert select_divbs(fm, cfg).indices == reference_divbs_direct(fm, cfg)[0] == [0, 4]
+    assert leaders == [0, 1, 2, 3, 4]
+    assert rejected == [1, 2, 3]
+
+
+def test_screen_with_every_row_dead_returns_none():
+    """With every row retired best returns (None, None); a live row whose
+    score is 0 (running = 0) still leads."""
+    rng = np.random.default_rng(125)
+    X = rng.standard_normal((7, 5))
+    screen = screen_of(X)
+    screen.retire(np.arange(6))
+    assert screen.best(rng.standard_normal(5))[0] == 6
+    screen.retire(6)
+    assert screen.best(rng.standard_normal(5)) == (None, None)
+    assert screen_of(X).best(np.zeros(5))[0] is not None
+
+
+def test_reused_screen_matches_fresh_screens():
+    """One screen's reused buffers carry nothing from one call to the next:
+    best on a screen that has answered other running vectors before equals
+    best on a fresh screen with the same dead rows, bit for bit."""
+    rng = np.random.default_rng(126)
+    for scale in (1.0, 2.0**-60, 2.0**90):
+        X = scale * rng.standard_normal((60, 9))
+        X[7] = X[3]  # a tie, settled by the lowest index
+        reused = screen_of(X)
+        dead = []
+        for step in range(40):
+            running = rng.standard_normal(9) * 2.0 ** int(rng.integers(-30, 30))
+            fresh = screen_of(X)
+            fresh.retire(np.asarray(dead, dtype=int))
+            got, want = reused.best(running), fresh.best(running)
+            assert got[0] == want[0] and float(got[1]).hex() == float(want[1]).hex()
+            if step % 3 == 0:
+                reused.retire(got[0])
+                dead.append(got[0])
 
 
 def cancellation_rows(scale):

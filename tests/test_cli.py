@@ -137,6 +137,34 @@ class TestSelect:
         assert code == 3
 
     @pytest.mark.parametrize(
+        "lines", ["3.0\n1.0\n2.0\n", "nan\nnan\nnan\n", "3.0\n1.0\n"],
+        ids=["valid", "all-nan", "wrong-length"],
+    )
+    def test_scores_with_other_strategy_usage_error(self, hand_features, tmp_path, lines):
+        """Only top_score reads --scores; any other strategy refuses the
+        file, whatever it holds, instead of ignoring it."""
+        scores = tmp_path / "scores.txt"
+        scores.write_text(lines)
+        out = tmp_path / "sel.json"
+        code = main(
+            [
+                "select",
+                "--features",
+                hand_features,
+                "--strategy",
+                "divbs",
+                "--scores",
+                str(scores),
+                "--budget",
+                "2",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "env,flag", [("nan", None), ("-1e-3", None), ("inf", None), (None, "-5")]
     )
     def test_bad_eps_data_error(self, hand_features, tmp_path, monkeypatch, env, flag):

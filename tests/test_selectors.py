@@ -389,3 +389,40 @@ def test_kernel_basis_stays_orthonormal(n, d, budget, scale, offset, seed, exact
     assert len(basis) == sum(not p for p in result.padded)
     err = np.abs(basis.gram() - np.eye(len(basis))).max(initial=0.0)
     assert err <= 16 * d * 2.0**-53
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(2, 24),
+    rank=st.integers(1, 24),
+    duplicates=st.integers(0, 4),
+    offset=st.sampled_from([0.0, 1.0, 10.0]),
+    base=st.integers(0, 20),
+    k=st.integers(-40, 40),
+    budget=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_of_two_scale_invariance(n, d, rank, duplicates, offset, base, k, budget, seed):
+    """Scaling X by 2^k rounds nothing, so greedy and divbs pick the same rows
+    and their step scores scale exactly: |e . running| by 2^k (greedy),
+    |x . running| by 4^k (divbs).  The dependence floor eps max(1, ||x||) and
+    the running-sum floor eps max(1, ||Sum||) are relative only above unit
+    norm, so every row and Sum has norm >= 1 at both scales.  Rank-deficient
+    batches with exact duplicates exercise the rejected rows and the
+    stale-norm recompute."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, d)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    X = 2.0**base * (X + offset * rng.standard_normal(d))
+    for _ in range(duplicates):
+        X[rng.integers(n)] = X[rng.integers(n)]
+    small = min(1.0, 2.0**k)
+    assume(small * np.linalg.norm(X, axis=1).min() >= 1.0)
+    assume(small * np.linalg.norm(X.sum(axis=0)) >= 1.0)
+    config = cfg(min(budget, n))
+    for select, factor in ((select_greedy, 2.0**k), (select_divbs, 4.0**k)):
+        unscaled = select(FeatureMatrix(X), config)
+        scaled = select(FeatureMatrix(X * 2.0**k), config)
+        assert scaled.indices == unscaled.indices
+        assert scaled.step_scores == [s * factor for s in unscaled.step_scores]
