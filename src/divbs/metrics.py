@@ -32,8 +32,9 @@ def knn_cosine_distance(
 ) -> dict[int, float]:
     """Mean cosine distance to the k nearest selected neighbors.
 
-    Averaged over neighbors first, then over selected rows.  Neighbor ties
-    break to the lowest index.  Each k must be in [1, len(selected)).
+    Averaged over neighbors first, then over selected rows.  Which of
+    several equally distant neighbors counts cannot change the mean.  Each k
+    must be in [1, len(selected)).
     """
     sel = _check_subset(features.n_rows, selected)
     if not sel:
@@ -52,15 +53,8 @@ def knn_cosine_distance(
     Xn = X / norms[:, None]
     dist = 1.0 - np.clip(Xn @ Xn.T, -1.0, 1.0)
     np.fill_diagonal(dist, np.inf)
-    out: dict[int, float] = {}
-    col = np.arange(m)
-    # ascending distance, ties to lowest column index, per row
-    order = np.stack([np.lexsort((col, dist[i])) for i in range(m)])
-    for k in ks:
-        neigh = order[:, :k]
-        per_row = dist[np.arange(m)[:, None], neigh].mean(axis=1)
-        out[int(k)] = float(per_row.mean())
-    return out
+    dist.sort(axis=1)
+    return {int(k): float(dist[:, :k].mean(axis=1).mean()) for k in ks}
 
 
 def group_proportions(row_labels, selected: Sequence[int]) -> dict[int, float]:

@@ -2,29 +2,24 @@
 
 select_greedy (exact greedy maximization of the representativeness
 objective) and select_divbs (the fast approximation, which scores rows
-against a deflated running batch sum) share one implicit Gram-Schmidt
-kernel: the same running-sum guard, acceptance residual, basis and
-objective.  Greedy keeps its scores and residual norms downdated in float64
+against a deflated running batch sum) each run their own implicit
+Gram-Schmidt step loop and share only set-up (_prepare), the acceptance
+rule (OrthonormalBasis.extend), the objective from their coefficients and
+padding.  Greedy keeps its scores and residual norms downdated in float64
 (one float64 pass over X per step).  Divbs screens every row in float32
-against an explicit float64 running sum and certifies the pick in float64:
-each float32 score carries a rigorous error bound, and every row whose
-interval reaches the leader's is re-scored in float64.  Its pick is the
-float64 argmax, bitwise reproducible whatever the BLAS thread split, from
-half the bytes per step; each divbs call holds an extra N x D float32 copy
-of the features (N D 4 bytes) and a float32 penalty row (0 for a live row,
--inf for a picked or rejected one) that one add per step folds into the
-scores, so dead rows need no fresh mask.  Both raise ContractViolationError
-when no row clears the dependence floor eps * max(1, ||x||) or a squared
-norm overflows.  Both report the objective they get from their
-coefficients.  The remaining selectors are baselines: they reject
-normalize_features, which they would ignore, and leave their objective to be
-evaluated on first read (SelectionResult), so their wall_time excludes it.
-All selectors are
-deterministic: among equal computed scores the argmax takes the lowest row
-index (scores that are equal in exact arithmetic may still differ by
-rounding), and stochastic strategies are driven entirely by the config
-seed.  STRATEGIES maps every strategy name to a call on (features, scores,
-cfg).
+against an explicit float64 running sum and certifies the pick in float64
+(_Float32Screen).  Its pick is the float64 argmax, bitwise reproducible
+whatever the BLAS thread split, from half the bytes per step; each divbs
+call holds an extra N x D float32 copy of the features (N D 4 bytes).
+Both raise ContractViolationError when no row clears the dependence floor
+eps * max(1, ||x||) or a squared norm overflows.  The remaining selectors
+are baselines: they reject normalize_features, which they would ignore, and
+leave their objective to be evaluated on first read (SelectionResult), so
+their wall_time excludes it.  All selectors are deterministic: among equal
+computed scores the argmax takes the lowest row index (scores that are
+equal in exact arithmetic may still differ by rounding), and stochastic
+strategies are driven entirely by the config seed.  STRATEGIES maps every
+strategy name to a call on (features, scores, cfg).
 """
 from __future__ import annotations
 
@@ -258,38 +253,16 @@ class _Float32Screen:
         return int(rows[k]), float(exact[k])
 
 
-def _top(s: np.ndarray):
-    """The row with the largest score (lowest index on ties) and that score,
-    or (None, None) when every score is -inf."""
-    i = int(s.argmax())
-    return (i, s[i]) if s[i] > -np.inf else (None, None)
-
-
-def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: bool):
-    """Greedy selection by implicit Gram-Schmidt, shared by greedy and divbs.
-
-    With r_i the residual of row x_i against the selected span E and
-    running = Sum - E'E Sum, both score rows by proj_i = r_i . Sum = x_i .
-    running without forming r_i.  Greedy (exact=True) keeps proj and ||r_i||^2
-    downdated: after appending e it subtracts c (e . Sum) and c^2 with c = X e,
-    and scores |proj_i| / ||r_i||.  Divbs keeps running explicitly, screens
-    |x_i . running| in float32 (_Float32Screen), re-scores in float64 the rows
-    that can win, and stops once running is numerically zero.  Downdated
-    squared norms that cancel below _RECOMPUTE_TOL of their reference are
-    recomputed from explicit residuals.  A row is accepted only if
-    OrthonormalBasis.extend takes it (its explicit residual passes the
-    dependence rule); a rejected row is dead for good.  Greedy keeps its
-    dead rows in the alive mask, which its stale-norm recompute reads; divbs
-    hands them to the screen (_Float32Screen.retire) after set-up.  The
-    objective comes from the coefficients e . Sum.
-    """
+def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
+    """Set-up shared by greedy and divbs: the prepared rows X, their sum Sum,
+    ||Sum||^2, the squared row norms, the dependence floor on them and the
+    mask of rows above it.  Raises ContractViolationError when the budget
+    exceeds the rows, a squared norm overflows or no row clears the floor."""
     _check_budget(features, cfg)
-    t0 = time.perf_counter()
     X = _prepared_values(features, cfg)
-    n, d = X.shape
     with np.errstate(over="ignore"):
         total = X.sum(axis=0)
-        sum2 = sum_ref = float(np.dot(total, total))
+        sum2 = float(np.dot(total, total))
         nrm2 = np.einsum("ij,ij->i", X, X)
     if not (math.isfinite(sum2) and np.isfinite(nrm2).all()):
         raise ContractViolationError(
@@ -302,67 +275,13 @@ def _select_by_projection(features: FeatureMatrix, cfg: SelectionConfig, exact: 
             f"no row clears the dependence floor eps * max(1, ||x||) with eps={cfg.eps}; "
             "the features are too small for this eps"
         )
-    sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
-    running = total.copy()
-    basis = OrthonormalBasis(d, cfg.eps)
-    if exact:
-        proj = X @ total
-        ref = nrm2.copy()
-    else:  # from here on the screen keeps the dead rows, not alive
-        screen = _Float32Screen(X, nrm2)
-        screen.retire(~alive)
-    indices: list[int] = []
-    scores: list[float] = []
-    coeffs: list[float] = []
-    while len(indices) < min(cfg.budget, d):
-        if sum2 < _RECOMPUTE_TOL * sum_ref:
-            running = basis.residual(total)
-            sum2 = sum_ref = float(np.dot(running, running))
-            if exact:
-                proj = X @ running
-        if exact:
-            stale = np.flatnonzero(alive & (nrm2 < _RECOMPUTE_TOL * ref))
-            if stale.size:
-                R = basis.residual(X[stale])
-                nrm2[stale] = ref[stale] = np.einsum("ij,ij->i", R, R)
-                proj[stale] = R @ running
-            alive &= nrm2 > floor2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.abs(proj) / np.sqrt(nrm2)
-            s[~alive] = -np.inf
-        elif sum2 <= sum_floor2:
-            break
-        while True:
-            idx, score = _top(s) if exact else screen.best(running)
-            if idx is None:
-                break
-            # picked, or dependent on the picks: dead either way
-            if exact:
-                alive[idx] = False
-                s[idx] = -np.inf
-            else:
-                screen.retire(idx)
-            e = basis.extend(X[idx])
-            if e is not None:
-                break
-        if idx is None:
-            break
-        # e . running = e . Sum (e is orthogonal to the span running was
-        # deflated against), with less rounding once Sum is mostly covered
-        coef = float(e.dot(running))
-        sum2 -= coef * coef
-        if exact:
-            c = X @ e
-            proj -= c * coef
-            nrm2 -= c * c
-        else:
-            running -= coef * e
-        indices.append(idx)
-        scores.append(abs(coef) if exact else score)
-        coeffs.append(coef)
+    return X, total, sum2, nrm2, floor2, alive
+
+
+def _objective(coeffs: list[float]) -> ObjectiveValue:
+    """The objective of picks whose basis vectors e have coefficients e . Sum."""
     r_prime = float(np.linalg.norm(coeffs))
-    objective = ObjectiveValue(math.sqrt(len(indices)) * r_prime, r_prime, len(indices))
-    return _finish(features, cfg, indices, scores, t0, objective)
+    return ObjectiveValue(math.sqrt(len(coeffs)) * r_prime, r_prime, len(coeffs))
 
 
 def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -370,9 +289,59 @@ def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRes
 
     Each step picks the remaining row whose unit residual against the
     selected span has the largest |unit residual . Sum|, with Sum the fixed
-    full-batch feature sum.
+    full-batch feature sum.  For the residual r_i of row x_i, proj_i =
+    r_i . Sum and ||r_i||^2 are downdated without forming r_i: appending e
+    subtracts c (e . Sum) and c^2 with c = X e.  Squared norms that cancel
+    below _RECOMPUTE_TOL of their reference are recomputed from explicit
+    residuals, which is why rejected rows stay dead in the alive mask.
+    Step scores are |e . Sum|.
     """
-    return _select_by_projection(features, cfg, exact=True)
+    t0 = time.perf_counter()
+    X, total, sum2, nrm2, floor2, alive = _prepare(features, cfg)
+    sum_ref = sum2
+    running = total
+    basis = OrthonormalBasis(X.shape[1], cfg.eps)
+    proj = X @ total
+    ref = nrm2.copy()
+    indices: list[int] = []
+    scores: list[float] = []
+    coeffs: list[float] = []
+    while len(indices) < min(cfg.budget, X.shape[1]):
+        if sum2 < _RECOMPUTE_TOL * sum_ref:
+            running = basis.residual(total)
+            sum2 = sum_ref = float(np.dot(running, running))
+            proj = X @ running
+        stale = np.flatnonzero(alive & (nrm2 < _RECOMPUTE_TOL * ref))
+        if stale.size:
+            R = basis.residual(X[stale])
+            nrm2[stale] = ref[stale] = np.einsum("ij,ij->i", R, R)
+            proj[stale] = R @ running
+        alive &= nrm2 > floor2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.abs(proj) / np.sqrt(nrm2)
+        s[~alive] = -np.inf
+        idx = int(s.argmax())
+        while s[idx] > -np.inf:
+            # picked, or dependent on the picks: dead either way
+            alive[idx] = False
+            s[idx] = -np.inf
+            e = basis.extend(X[idx])
+            if e is not None:
+                break
+            idx = int(s.argmax())
+        else:
+            break
+        # e . running = e . Sum (e is orthogonal to the span running was
+        # deflated against), with less rounding once Sum is mostly covered
+        coef = float(e.dot(running))
+        sum2 -= coef * coef
+        c = X @ e
+        proj -= c * coef
+        nrm2 -= c * c
+        indices.append(idx)
+        scores.append(abs(coef))
+        coeffs.append(coef)
+    return _finish(features, cfg, indices, scores, t0, _objective(coeffs))
 
 
 def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -380,9 +349,45 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
 
     Scores rows by |g . Sum| against a running Sum vector that is deflated
     by the component along each newly selected direction; stops early when
-    Sum is driven to (numerical) zero.
+    Sum is driven to (numerical) zero.  Each step screens the live rows in
+    float32 and re-scores in float64 those that can win (_Float32Screen);
+    picked and rejected rows are retired from the screen.
     """
-    return _select_by_projection(features, cfg, exact=False)
+    t0 = time.perf_counter()
+    X, total, sum2, nrm2, _, alive = _prepare(features, cfg)
+    sum_ref = sum2
+    sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
+    running = total.copy()
+    basis = OrthonormalBasis(X.shape[1], cfg.eps)
+    screen = _Float32Screen(X, nrm2)
+    screen.retire(~alive)
+    indices: list[int] = []
+    scores: list[float] = []
+    coeffs: list[float] = []
+    while len(indices) < min(cfg.budget, X.shape[1]):
+        if sum2 < _RECOMPUTE_TOL * sum_ref:
+            running = basis.residual(total)
+            sum2 = sum_ref = float(np.dot(running, running))
+        if sum2 <= sum_floor2:
+            break
+        idx, score = screen.best(running)
+        while idx is not None:
+            screen.retire(idx)
+            e = basis.extend(X[idx])
+            if e is not None:
+                break
+            idx, score = screen.best(running)
+        else:
+            break
+        # e . running = e . Sum (e is orthogonal to the span running was
+        # deflated against), with less rounding once Sum is mostly covered
+        coef = float(e.dot(running))
+        sum2 -= coef * coef
+        running -= coef * e
+        indices.append(idx)
+        scores.append(score)
+        coeffs.append(coef)
+    return _finish(features, cfg, indices, scores, t0, _objective(coeffs))
 
 
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -443,7 +448,6 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     chosen[first] = True
     d2 = np.sum((X - X[first]) ** 2, axis=1)
     while len(indices) < cfg.budget:
-        d2[chosen] = 0.0
         total = float(d2.sum())
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))

@@ -1,8 +1,8 @@
 """Test-only reference selectors.
 
 reference_greedy and reference_divbs are the explicit-residual loops that
-the shared kernel in divbs.selectors replaced, kept verbatim as a
-differential oracle: reference_greedy carries the full N x D residual
+select_greedy and select_divbs replaced, kept verbatim as a differential
+oracle: reference_greedy carries the full N x D residual
 matrix R and re-derives every norm each step; reference_divbs scores rows
 against an explicitly deflated running sum.  reference_divbs_direct is
 divbs without any float32 screening or downdating: every step recomputes

@@ -39,11 +39,12 @@ class TestKnnCosineDistance:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(40)
-        X = rng.standard_normal((10, 6))
-        fm = FeatureMatrix(X)
-        got = knn_cosine_distance(fm, list(range(10)), [3])
-        ref = brute_force_knn(X, [3])
-        assert got[3] == pytest.approx(ref[3], abs=1e-12)
+        gaussian = rng.standard_normal((10, 6))
+        ties = rng.integers(1, 3, size=(12, 3)).astype(float)  # many equal distances
+        for X in (gaussian, ties):
+            got = knn_cosine_distance(FeatureMatrix(X), list(range(len(X))), [3])
+            ref = brute_force_knn(X, [3])
+            assert got[3] == pytest.approx(ref[3], abs=1e-12)
 
     def test_k_too_large(self):
         fm = FeatureMatrix(np.eye(3))
