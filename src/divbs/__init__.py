@@ -7,13 +7,7 @@ feature sum onto the span of the selected rows.
 
 from .errors import ContractViolationError, EnumerationCapError, LoadError
 from .featfile import read_features, write_features
-from .linalg import (
-    DEFAULT_EPS,
-    FeatureMatrix,
-    OrthonormalBasis,
-    batch_sum,
-    dot,
-)
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis
 from .metrics import (
     DiversityReport,
     diversity_report,

@@ -76,9 +76,13 @@ def _resolve_budget(args, n_rows: int) -> int:
     return budget
 
 
-def _check_trials(args):
-    if args.trials < 1:
-        raise ContractViolationError(f"trials must be >= 1, got {args.trials}")
+def _check_synthetic_args(args):
+    """Reject oracle-check and bench sizes below 1 and negative seeds."""
+    for name in ("n", "d", "trials"):
+        if getattr(args, name) < 1:
+            raise ContractViolationError(f"{name} must be >= 1, got {getattr(args, name)}")
+    if args.seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {args.seed}")
 
 
 def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
@@ -125,7 +129,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _check_trials(args)
+    _check_synthetic_args(args)
     rng = np.random.default_rng(args.seed)
     greedy_ratios = []
     divbs_ratios = []
@@ -238,7 +242,7 @@ def cmd_toy(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_trials(args)
+    _check_synthetic_args(args)
     rng = np.random.default_rng(args.seed)
     greedy_times = []
     divbs_times = []
@@ -259,8 +263,10 @@ def cmd_bench(args) -> int:
         "budget": args.budget,
         "trials": args.trials,
         "greedy_mean_seconds": g_mean,
+        "greedy_median_seconds": statistics.median(greedy_times),
         "greedy_std_seconds": statistics.pstdev(greedy_times),
         "divbs_mean_seconds": a_mean,
+        "divbs_median_seconds": statistics.median(divbs_times),
         "divbs_std_seconds": statistics.pstdev(divbs_times),
         "speedup": g_mean / a_mean,
     }

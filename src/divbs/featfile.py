@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import LoadError
+from .errors import ContractViolationError, LoadError
 from .linalg import FeatureMatrix
 
 MAGIC = b"DIVBSFM1"
@@ -71,16 +71,19 @@ def read_features_binary(path: str) -> FeatureMatrix:
     values = np.fromfile(
         path, dtype="<f8", count=n_rows * dim, offset=HEADER.size
     ).reshape(n_rows, dim)
-    bad = np.flatnonzero(~np.isfinite(values.ravel()))
-    if bad.size:
-        off = HEADER.size + 8 * int(bad[0])
-        raise LoadError(f"{path}: non-finite value at byte offset {off}")
     labels = None
     if has_labels:
         labels = np.fromfile(
             path, dtype="<i4", count=n_rows, offset=HEADER.size + 8 * n_rows * dim
         )
-    return FeatureMatrix(values, labels)
+    try:
+        return FeatureMatrix(values, labels)
+    except ContractViolationError:
+        # the header checks above leave a non-finite value as the only thing
+        # FeatureMatrix can reject; locate the first one only now
+        bad = np.flatnonzero(~np.isfinite(values.ravel()))
+        off = HEADER.size + 8 * int(bad[0])
+        raise LoadError(f"{path}: non-finite value at byte offset {off}") from None
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str):

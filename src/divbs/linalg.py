@@ -1,5 +1,7 @@
-"""Dense vector primitives and incremental orthonormal-basis maintenance.
+"""The feature matrix, the dependence tolerance and the incremental
+orthonormal basis.
 
+FeatureMatrix is the one place that rejects non-finite feature values.
 Everything here is double precision and deterministic: identical inputs
 produce bitwise-identical outputs on the same platform.
 """
@@ -19,24 +21,6 @@ def check_eps(eps):
     """Reject a dependence tolerance that is not finite and non-negative."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ContractViolationError(f"eps must be finite and >= 0, got {eps!r}")
-
-
-def _as_float_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ContractViolationError(f"expected a 1-D vector, got shape {a.shape}")
-    return a
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length real vectors."""
-    av = _as_float_vector(a)
-    bv = _as_float_vector(b)
-    if av.shape != bv.shape:
-        raise ContractViolationError(
-            f"dot: length mismatch {av.shape[0]} vs {bv.shape[0]}"
-        )
-    return float(np.dot(av, bv))
 
 
 @dataclass
@@ -75,11 +59,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-
-def batch_sum(features: FeatureMatrix) -> np.ndarray:
-    """Column-wise sum over all rows."""
-    return features.values.sum(axis=0)
 
 
 class OrthonormalBasis:
@@ -149,7 +128,9 @@ class OrthonormalBasis:
         """Append the normalized residual of v, or return None if dependent."""
         if self._size >= self.dim:
             return None
-        vv = _as_float_vector(v)
+        vv = np.asarray(v, dtype=np.float64)
+        if vv.ndim != 1:
+            raise ContractViolationError(f"expected a 1-D vector, got shape {vv.shape}")
         self._check_length(vv.shape[0])
         r = vv.copy()
         self._deflate(r)
@@ -160,8 +141,3 @@ class OrthonormalBasis:
         r /= norm
         self._append(r)
         return r
-
-    def gram(self) -> np.ndarray:
-        """Full Gram matrix of the basis vectors (identity when healthy)."""
-        vecs = self.vectors
-        return vecs @ vecs.T

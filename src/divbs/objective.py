@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError
-from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, batch_sum
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -26,6 +26,13 @@ class ObjectiveValue:
     r: float
     r_prime: float
     basis_size: int
+
+    @classmethod
+    def from_coefficients(cls, coeffs) -> ObjectiveValue:
+        """The objective of picks whose orthonormal basis vectors e have
+        coefficients e . Sum, one per vector (none gives (0.0, 0.0, 0))."""
+        r_prime = float(np.linalg.norm(coeffs))
+        return cls(math.sqrt(len(coeffs)) * r_prime, r_prime, len(coeffs))
 
 
 def _check_subset(n_rows: int, subset: Sequence[int]) -> list[int]:
@@ -63,13 +70,7 @@ def basis_of_subset(
 
 
 def _evaluate(values: np.ndarray, total: np.ndarray, subset, eps: float) -> ObjectiveValue:
-    basis = _basis(values, subset, eps)
-    size = len(basis)
-    if size == 0:
-        return ObjectiveValue(0.0, 0.0, 0)
-    coeffs = basis.vectors @ total
-    r_prime = float(np.linalg.norm(coeffs))
-    return ObjectiveValue(math.sqrt(size) * r_prime, r_prime, size)
+    return ObjectiveValue.from_coefficients(_basis(values, subset, eps).vectors @ total)
 
 
 def representativeness(
@@ -77,7 +78,7 @@ def representativeness(
 ) -> ObjectiveValue:
     """Objective value (r, r_prime, basis size) of a subset of rows."""
     idx = _check_subset(features.n_rows, subset)
-    return _evaluate(features.values, batch_sum(features), idx, eps)
+    return _evaluate(features.values, features.values.sum(axis=0), idx, eps)
 
 
 def brute_force_optimum(
@@ -101,7 +102,7 @@ def brute_force_optimum(
             f"exceeding the cap of {cap}"
         )
     values = features.values
-    total = batch_sum(features)
+    total = values.sum(axis=0)
     best: tuple[int, ...] = ()
     best_obj = ObjectiveValue(0.0, 0.0, 0)
     for k in range(1, min(budget, n) + 1):

@@ -4,7 +4,7 @@ select_greedy (exact greedy maximization of the representativeness
 objective) and select_divbs (the fast approximation, which scores rows
 against a deflated running batch sum) each run their own implicit
 Gram-Schmidt step loop and share only set-up (_prepare), the acceptance
-rule (OrthonormalBasis.extend), the objective from their coefficients and
+rule (OrthonormalBasis.extend), ObjectiveValue.from_coefficients and
 padding.  Greedy keeps its scores and residual norms downdated in float64
 (one float64 pass over X per step).  Divbs screens every row in float32
 against an explicit float64 running sum and certifies the pick in float64
@@ -49,6 +49,8 @@ class SelectionConfig:
         if self.budget < 1:
             raise ContractViolationError(f"budget must be >= 1, got {self.budget}")
         check_eps(self.eps)
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
         if self.pad_policy not in (PAD_NONE, PAD_UNIFORM):
             raise ContractViolationError(f"unknown pad_policy {self.pad_policy!r}")
 
@@ -278,12 +280,6 @@ def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
     return X, total, sum2, nrm2, floor2, alive
 
 
-def _objective(coeffs: list[float]) -> ObjectiveValue:
-    """The objective of picks whose basis vectors e have coefficients e . Sum."""
-    r_prime = float(np.linalg.norm(coeffs))
-    return ObjectiveValue(math.sqrt(len(coeffs)) * r_prime, r_prime, len(coeffs))
-
-
 def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
     """Exact greedy selection.
 
@@ -341,7 +337,7 @@ def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRes
         indices.append(idx)
         scores.append(abs(coef))
         coeffs.append(coef)
-    return _finish(features, cfg, indices, scores, t0, _objective(coeffs))
+    return _finish(features, cfg, indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
 
 
 def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -387,7 +383,7 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
         indices.append(idx)
         scores.append(score)
         coeffs.append(coef)
-    return _finish(features, cfg, indices, scores, t0, _objective(coeffs))
+    return _finish(features, cfg, indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
 
 
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:

@@ -251,6 +251,8 @@ def run_toy_experiment(
         raise ContractViolationError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
     if epochs < 1:
         raise ContractViolationError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     spec = dataset if dataset is not None else ToyDatasetSpec(seed=seed)
     data, labels = generate_toy_dataset(spec)
     x = data.values

@@ -12,7 +12,7 @@ import pytest
 
 from divbs.cli import main
 from divbs.featfile import write_features_binary, write_features_csv
-from divbs.linalg import FeatureMatrix, batch_sum
+from divbs.linalg import FeatureMatrix
 from divbs.objective import basis_of_subset, brute_force_optimum, representativeness
 from divbs.selectors import (
     SelectionConfig,
@@ -51,7 +51,7 @@ def test_criterion_1_basis_invariance():
         k = len(basis)
         if k == 0:
             continue
-        total = batch_sum(fm)
+        total = fm.values.sum(axis=0)
         for _ in range(5):
             rotated = random_rotation(k, rng) @ basis.vectors
             r = math.sqrt(k) * float(np.linalg.norm(rotated @ total))
@@ -339,11 +339,14 @@ def test_criterion_8_timing_direction(tmp_path):
     assert code == 0
     with open(out) as f:
         report = json.load(f)
-    assert report["divbs_mean_seconds"] < report["greedy_mean_seconds"]
+    # medians, not means: one stall from outside load inflates a mean
+    assert report["divbs_median_seconds"] < report["greedy_median_seconds"]
     print(
-        f"PASS criterion 8: divbs {report['divbs_mean_seconds'] * 1e3:.2f}ms < "
-        f"greedy {report['greedy_mean_seconds'] * 1e3:.2f}ms per call "
-        f"(speedup {report['speedup']:.2f}x, reported not asserted against any target)"
+        f"PASS criterion 8: divbs median {report['divbs_median_seconds'] * 1e3:.2f}ms < "
+        f"greedy median {report['greedy_median_seconds'] * 1e3:.2f}ms per call "
+        f"(means {report['divbs_mean_seconds'] * 1e3:.2f}ms and "
+        f"{report['greedy_mean_seconds'] * 1e3:.2f}ms; "
+        f"speedup {report['speedup']:.2f}x, reported not asserted against any target)"
     )
 
 

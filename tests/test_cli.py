@@ -442,6 +442,38 @@ class TestBadInputExitCodes:
         args = ["toy", "--strategy", "uniform", "--epochs", "0", "--out-dir", str(tmp_path)]
         assert main(args) == 3
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--strategy", "uniform", "--budget", "3"],
+            ["--strategy", "kmeanspp", "--budget", "3"],
+            ["--strategy", "divbs", "--budget", "3"],
+            ["--strategy", "greedy", "--budget", "5", "--pad", "uniform"],
+        ],
+        ids=["uniform", "kmeanspp", "divbs", "padded"],
+    )
+    def test_select_negative_seed(self, twenty_rows, capsys, extra):
+        assert main(["select", "--features", twenty_rows, "--seed", "-1"] + extra) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_toy_negative_seed(self, tmp_path):
+        args = ["toy", "--strategy", "uniform", "--epochs", "1", "--seed", "-1"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-check", "--n", "4", "--d", "2", "--budget", "2", "--trials=1", "--seed=-1"],
+            ["oracle-check", "--n", "-2", "--d", "3", "--budget", "1", "--trials", "1"],
+            ["bench", "--n", "8", "--d", "4", "--budget", "2", "--trials", "1", "--seed=-1"],
+            ["bench", "--d", "-1", "--trials", "1"],
+        ],
+        ids=["oracle-seed", "oracle-n", "bench-seed", "bench-d"],
+    )
+    def test_synthetic_negative_size_or_seed(self, capsys, argv):
+        assert main(argv) == 3
+        assert "must be >=" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ks", ["0", "-1", "1,0"])
     def test_metrics_k_below_one(self, twenty_rows, tmp_path, capsys, ks):
         assert self.metrics(twenty_rows, tmp_path, [0, 1, 2], ks) == 3

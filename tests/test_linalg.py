@@ -2,59 +2,7 @@ import numpy as np
 import pytest
 
 from divbs.errors import ContractViolationError
-from divbs.linalg import FeatureMatrix, OrthonormalBasis, batch_sum, dot
-
-
-def kahan_dot(a, b):
-    """Compensated-summation reference for the inner product."""
-    total = 0.0
-    comp = 0.0
-    for x, y in zip(a, b):
-        term = float(x) * float(y) - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_arithmetic(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_matches_compensated_summation(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.standard_normal(512)
-            b = rng.standard_normal(512)
-            ref = kahan_dot(a, b)
-            assert dot(a, b) == pytest.approx(ref, rel=1e-12)
-
-
-class TestBatchSum:
-    def test_two_rows(self):
-        fm = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(batch_sum(fm), [1.0, 1.0])
-
-    def test_single_row_identity(self):
-        fm = FeatureMatrix(np.array([[3.0, -2.0]]))
-        assert np.array_equal(batch_sum(fm), [3.0, -2.0])
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((100, 7))
-        fm = FeatureMatrix(X)
-        # independent oracle: plain ascending-order accumulation per column
-        ref = np.zeros(7)
-        for row in X:
-            ref = ref + row
-        np.testing.assert_allclose(batch_sum(fm), ref, rtol=1e-12)
+from divbs.linalg import FeatureMatrix, OrthonormalBasis
 
 
 class TestFeatureMatrix:
@@ -133,7 +81,7 @@ class TestBasisProperties:
             basis = OrthonormalBasis(d)
             for _ in range(int(rng.integers(1, 2 * d))):
                 basis.extend(rng.standard_normal(d))
-            gram = basis.gram()
+            gram = basis.vectors @ basis.vectors.T
             np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-9)
 
     def test_reconstruction(self):

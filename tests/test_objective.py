@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divbs.errors import ContractViolationError, EnumerationCapError
-from divbs.linalg import FeatureMatrix, batch_sum
+from divbs.linalg import FeatureMatrix
 from divbs.objective import basis_of_subset, brute_force_optimum, representativeness
 
 
@@ -33,7 +33,7 @@ class TestBasisOfSubset:
         fm = FeatureMatrix(rng.standard_normal((5, 9)))
         basis = basis_of_subset(fm, [0, 1, 2, 3, 4])
         assert len(basis) == 5
-        np.testing.assert_allclose(basis.gram(), np.eye(5), atol=1e-9)
+        np.testing.assert_allclose(basis.vectors @ basis.vectors.T, np.eye(5), atol=1e-9)
 
 
 class TestRepresentativeness:
@@ -67,7 +67,7 @@ class TestRepresentativeness:
         subset = [0, 2, 5]
         obj = representativeness(fm, subset)
         basis = basis_of_subset(fm, subset)
-        total = batch_sum(fm)
+        total = fm.values.sum(axis=0)
         k = len(basis)
         for _ in range(5):
             rotated = random_rotation(k, rng) @ basis.vectors
@@ -111,7 +111,7 @@ class TestObjectiveProperties:
         b = np.array([math.cos(theta), math.sin(theta)])
         m = -(a + b) + np.array([0.0, 1.0])  # forces the batch sum to (0, 1)
         fm = FeatureMatrix(np.vstack([a, b, m]))
-        np.testing.assert_allclose(batch_sum(fm), [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(fm.values.sum(axis=0), [0.0, 1.0], atol=1e-15)
 
         def rp(subset):
             return representativeness(fm, subset).r_prime
@@ -155,7 +155,7 @@ class TestBruteForce:
         rng = np.random.default_rng(17)
         fm = FeatureMatrix(rng.standard_normal((5, 2)))
         _, obj = brute_force_optimum(fm, 3)
-        expected = math.sqrt(2) * np.linalg.norm(batch_sum(fm))
+        expected = math.sqrt(2) * np.linalg.norm(fm.values.sum(axis=0))
         assert obj.r == pytest.approx(expected, rel=1e-12)
 
     def test_cap_refusal(self):

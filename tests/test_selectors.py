@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import divbs.selectors as selectors
 from divbs.errors import ContractViolationError
-from divbs.linalg import FeatureMatrix, OrthonormalBasis, batch_sum
+from divbs.linalg import FeatureMatrix, OrthonormalBasis
 from divbs.metrics import selection_rank
 from divbs.objective import basis_of_subset, representativeness
 from divbs.selectors import (
@@ -39,6 +39,10 @@ class TestConfig:
 
     def test_accepts_zero_eps(self):
         assert SelectionConfig(budget=1, eps=0.0).eps == 0.0
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ContractViolationError, match="seed"):
+            SelectionConfig(budget=1, seed=-1)
 
 
 class TestScaleContract:
@@ -141,9 +145,9 @@ class TestDivbs:
         X = rng.standard_normal((30, 10))
         fm = FeatureMatrix(X)
         result = select_divbs(fm, cfg(8))
-        total0 = np.linalg.norm(batch_sum(fm))
+        total0 = np.linalg.norm(fm.values.sum(axis=0))
         basis = OrthonormalBasis(10)
-        running = batch_sum(fm)
+        running = fm.values.sum(axis=0)
         for idx in result.indices:
             e = basis.extend(X[idx])
             running = running - np.dot(e, running) * e
@@ -394,7 +398,7 @@ def test_kernel_basis_stays_orthonormal(n, d, budget, scale, offset, seed, exact
         result = (select_greedy if exact else select_divbs)(fm, cfg(min(budget, n)))
     (basis,) = bases
     assert len(basis) == sum(not p for p in result.padded)
-    err = np.abs(basis.gram() - np.eye(len(basis))).max(initial=0.0)
+    err = np.abs(basis.vectors @ basis.vectors.T - np.eye(len(basis))).max(initial=0.0)
     assert err <= 16 * d * 2.0**-53
 
 
