@@ -108,13 +108,19 @@ def cmd_select(args) -> int:
         eps=args.eps,
         pad_policy=PAD_UNIFORM if args.pad == "uniform" else PAD_NONE,
         seed=args.seed,
-        normalize_features=args.normalize_features,
     )
     scores = None
     if args.strategy == "top_score":
         if args.scores is None:
             raise UsageError("--strategy top_score requires --scores")
         scores = _read_scores(args.scores)
+    if args.normalize_features:  # unit rows, for the two strategies that score directions
+        if args.strategy not in ("greedy", "divbs"):
+            raise ContractViolationError(f"{args.strategy} does not support normalize_features")
+        norms = np.linalg.norm(features.values, axis=1)
+        if np.any(norms == 0.0):
+            raise ContractViolationError(f"cannot normalize zero feature row {np.argmin(norms)}")
+        features = FeatureMatrix(features.values / norms[:, None], features.row_labels)
     result = STRATEGIES[args.strategy](features, scores, cfg)
     echo = {
         "strategy": args.strategy,

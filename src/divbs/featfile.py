@@ -114,18 +114,17 @@ def read_features_csv(path: str) -> FeatureMatrix:
             raise LoadError(f"{path}: no feature columns at line 1")
         rows = []
         labels = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != n_cols:
                 raise LoadError(f"{path}: expected {n_cols} columns at line {lineno}")
             try:
-                vals = [float(c) for c in row[:dim]]
+                rows.append([float(c) for c in row[:dim]])
             except ValueError as exc:
                 raise LoadError(f"{path}: bad number at line {lineno}: {exc}") from None
-            if not all(np.isfinite(vals)):
-                raise LoadError(f"{path}: non-finite value at line {lineno}")
-            rows.append(vals)
+            linenos.append(lineno)
             if has_labels:
                 try:
                     labels.append(int(row[-1]))
@@ -133,7 +132,13 @@ def read_features_csv(path: str) -> FeatureMatrix:
                     raise LoadError(f"{path}: bad label at line {lineno}") from None
     if not rows:
         raise LoadError(f"{path}: no data rows")
-    return FeatureMatrix(np.array(rows), np.array(labels, dtype=np.int32) if has_labels else None)
+    values = np.array(rows)
+    try:
+        return FeatureMatrix(values, np.array(labels, dtype=np.int32) if has_labels else None)
+    except ContractViolationError:
+        # a non-finite value is all that is left to reject; locate it only now
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        raise LoadError(f"{path}: non-finite value at line {linenos[bad[0]]}") from None
 
 
 def read_features(path: str) -> FeatureMatrix:

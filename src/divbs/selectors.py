@@ -13,9 +13,9 @@ whatever the BLAS thread split, from half the bytes per step; each divbs
 call holds an extra N x D float32 copy of the features (N D 4 bytes).
 Both raise ContractViolationError when no row clears the dependence floor
 eps * max(1, ||x||) or a squared norm overflows.  The remaining selectors
-are baselines: they reject normalize_features, which they would ignore, and
-leave their objective to be evaluated on first read (SelectionResult), so
-their wall_time excludes it.  All selectors are deterministic: among equal
+are baselines: they leave their objective to be evaluated on first read
+(SelectionResult), so their wall_time excludes it.  Every selector reads
+features.values as given.  All selectors are deterministic: among equal
 computed scores the argmax takes the lowest row index (scores that are
 equal in exact arithmetic may still differ by rounding), and stochastic
 strategies are driven entirely by the config seed.  STRATEGIES maps every
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
-from .objective import ObjectiveValue, representativeness
+from .objective import ObjectiveValue, _check_subset, representativeness
 
 PAD_NONE = "none"
 PAD_UNIFORM = "uniform-random"
@@ -43,7 +43,6 @@ class SelectionConfig:
     eps: float = DEFAULT_EPS
     pad_policy: str = PAD_UNIFORM
     seed: int = 0
-    normalize_features: bool = False
 
     def __post_init__(self):
         if self.budget < 1:
@@ -111,22 +110,6 @@ def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
         )
 
 
-def _reject_normalize(cfg: SelectionConfig, strategy: str):
-    if cfg.normalize_features:
-        raise ContractViolationError(f"{strategy} does not support normalize_features")
-
-
-def _prepared_values(features: FeatureMatrix, cfg: SelectionConfig) -> np.ndarray:
-    X = features.values
-    if not cfg.normalize_features:
-        return X
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        row = int(np.argmin(norms))
-        raise ContractViolationError(f"cannot normalize zero feature row {row}")
-    return X / norms[:, None]
-
-
 def _finish(features, cfg, indices, scores, t0, objective) -> SelectionResult:
     result = SelectionResult(
         indices=list(indices),
@@ -135,7 +118,7 @@ def _finish(features, cfg, indices, scores, t0, objective) -> SelectionResult:
         step_scores=[float(s) for s in scores],
         wall_time=time.perf_counter() - t0,
     )
-    return pad_selection(result, features, cfg)
+    return pad_selection(result, features, cfg) if len(indices) < cfg.budget else result
 
 
 # A downdated squared norm that has lost all but this fraction of its
@@ -256,12 +239,12 @@ class _Float32Screen:
 
 
 def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
-    """Set-up shared by greedy and divbs: the prepared rows X, their sum Sum,
+    """Set-up shared by greedy and divbs: the rows X, their sum Sum,
     ||Sum||^2, the squared row norms, the dependence floor on them and the
     mask of rows above it.  Raises ContractViolationError when the budget
     exceeds the rows, a squared norm overflows or no row clears the floor."""
     _check_budget(features, cfg)
-    X = _prepared_values(features, cfg)
+    X = features.values
     with np.errstate(over="ignore"):
         total = X.sum(axis=0)
         sum2 = float(np.dot(total, total))
@@ -389,7 +372,6 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
     """Seeded uniform sample of budget rows without replacement."""
     _check_budget(features, cfg)
-    _reject_normalize(cfg, "uniform")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
@@ -405,7 +387,6 @@ def select_top_score(
     each row by its Euclidean norm.
     """
     _check_budget(features, cfg)
-    _reject_normalize(cfg, "top_score" if scores is not None else "grad_norm")
     t0 = time.perf_counter()
     if scores is None:
         scores = np.linalg.norm(features.values, axis=1)
@@ -433,7 +414,6 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     to uniform among the unselected rows.
     """
     _check_budget(features, cfg)
-    _reject_normalize(cfg, "kmeanspp")
     t0 = time.perf_counter()
     X = features.values
     n = features.n_rows
@@ -459,9 +439,8 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
 def pad_selection(
     result: SelectionResult, features: FeatureMatrix, cfg: SelectionConfig
 ) -> SelectionResult:
-    """Fill an undershooting selection to the budget with seeded uniform draws."""
-    if len(set(result.indices)) != len(result.indices):
-        raise ContractViolationError("selection contains duplicate indices")
+    """Fill a short selection of distinct row indices to the budget with seeded uniform draws."""
+    _check_subset(features.n_rows, result.indices)
     missing = cfg.budget - len(result.indices)
     if cfg.pad_policy != PAD_UNIFORM or missing <= 0:
         return result

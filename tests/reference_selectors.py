@@ -12,12 +12,12 @@ All return (indices, step_scores).
 import numpy as np
 
 from divbs.linalg import FeatureMatrix, OrthonormalBasis
-from divbs.selectors import SelectionConfig, _check_budget, _prepared_values
+from divbs.selectors import SelectionConfig, _check_budget
 
 
 def reference_greedy(features: FeatureMatrix, cfg: SelectionConfig):
     _check_budget(features, cfg)
-    X = _prepared_values(features, cfg)
+    X = features.values
     n, _ = X.shape
     total = X.sum(axis=0)
     R = X.copy()
@@ -45,7 +45,7 @@ def reference_greedy(features: FeatureMatrix, cfg: SelectionConfig):
 
 def reference_divbs(features: FeatureMatrix, cfg: SelectionConfig):
     _check_budget(features, cfg)
-    X = _prepared_values(features, cfg)
+    X = features.values
     n, d = X.shape
     total = X.sum(axis=0)
     running = total.copy()
@@ -89,7 +89,7 @@ def reference_divbs_direct(features: FeatureMatrix, cfg: SelectionConfig):
     (lowest index on ties); stop at min(budget, D) picks or once
     ||running|| <= eps * max(1, ||Sum||)."""
     _check_budget(features, cfg)
-    X = _prepared_values(features, cfg)
+    X = features.values
     n, d = X.shape
     total = X.sum(axis=0)
     sum_floor = cfg.eps * max(1.0, float(np.linalg.norm(total)))

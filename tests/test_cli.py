@@ -199,6 +199,38 @@ class TestSelect:
         assert main(argv) == 0
         assert main(argv + ["--normalize-features"]) == 3
 
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("strategy", ["greedy", "divbs"])
+    def test_normalize_features_reads_unit_rows(self, tmp_path, strategy, fmt):
+        rng = np.random.default_rng(62)
+        X = rng.standard_normal((40, 6)) * rng.uniform(0.1, 10.0, size=(40, 1))
+        labels = np.arange(40) % 3
+        unit = X / np.linalg.norm(X, axis=1)[:, None]
+        reports = []
+        for name, values, flag in (("raw", X, ["--normalize-features"]), ("unit", unit, [])):
+            feat = str(tmp_path / f"{name}.{fmt}")
+            write = write_features_csv if fmt == "csv" else write_features_binary
+            write(FeatureMatrix(values, labels), feat)
+            out = tmp_path / f"{name}.json"
+            argv = ["select", "--features", feat, "--strategy", strategy, "--budget", "5"]
+            assert main(argv + ["--pad", "uniform", "--out", str(out)] + flag) == 0
+            report = json.loads(out.read_text())
+            del report["wall_time_seconds"], report["config_echo"]["normalize_features"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("strategy", ["greedy", "divbs"])
+    def test_normalize_features_zero_row_data_error(self, tmp_path, capsys, strategy):
+        feat = str(tmp_path / "f.bin")
+        X = np.random.default_rng(63).standard_normal((10, 4))
+        X[6] = 0.0
+        write_features_binary(FeatureMatrix(X), feat)
+        argv = ["select", "--features", feat, "--strategy", strategy, "--budget", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--normalize-features"]) == 3
+        assert "zero feature row 6" in capsys.readouterr().err
+
     def test_missing_file_data_error(self, tmp_path):
         code = main(
             [

@@ -97,6 +97,12 @@ class TestCsvFormat:
         with pytest.raises(LoadError, match="line 3"):
             read_features_csv(str(path))
 
+    def test_non_finite_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,f1\n\n1.0,2.0\n\n\n3.0,4.0\n5.0,nan\n")
+        with pytest.raises(LoadError, match="line 7$"):
+            read_features_csv(str(path))
+
 
 class TestSniffing:
     def test_read_features_dispatch(self, tmp_path):

@@ -35,19 +35,15 @@ def assert_matches_reference(fm, cfg, score_rtol=1e-9):
     assert greedy.indices == ref_indices
     if score_rtol is not None:
         np.testing.assert_allclose(greedy.step_scores, ref_scores, rtol=score_rtol, atol=0.0)
-    X = fm.values
-    if cfg.normalize_features:
-        X = X / np.linalg.norm(X, axis=1)[:, None]
-    prepared = FeatureMatrix(X)
-    total = X.sum(axis=0)
-    coeffs = basis_of_subset(prepared, greedy.indices, cfg.eps).vectors @ total
+    total = fm.values.sum(axis=0)
+    coeffs = basis_of_subset(fm, greedy.indices, cfg.eps).vectors @ total
     # e . Sum carries an absolute rounding error of a few ulp of ||Sum||
     atol = 1e-13 * np.linalg.norm(total)
     np.testing.assert_allclose(greedy.step_scores, np.abs(coeffs), rtol=1e-9, atol=atol)
     divbs = select_divbs(fm, cfg)
     assert divbs.indices == reference_divbs(fm, cfg)[0]
     for result in (greedy, divbs):
-        obj = representativeness(prepared, result.indices, cfg.eps)
+        obj = representativeness(fm, result.indices, cfg.eps)
         assert result.objective.basis_size == obj.basis_size == len(result.indices)
         assert result.objective.r == pytest.approx(obj.r, rel=1e-9)
         assert result.objective.r_prime == pytest.approx(obj.r_prime, rel=1e-9)
@@ -68,11 +64,11 @@ def test_random_instances_across_scales():
         budget = int(rng.integers(1, min(n, d)))
         scale = 2.0 ** int(rng.integers(-6, 7))
         mean = rng.standard_normal(d) * rng.uniform(0.0, 2.0)
-        fm = FeatureMatrix(scale * (rng.standard_normal((n, d)) + mean))
-        cfg = SelectionConfig(
-            budget=budget, pad_policy="none", normalize_features=bool(trial % 5 == 0)
-        )
-        assert_matches_reference(fm, cfg)
+        X = scale * (rng.standard_normal((n, d)) + mean)
+        if trial % 5 == 0:  # unit rows, as divbs select --normalize-features reads them
+            X = X / np.linalg.norm(X, axis=1)[:, None]
+        cfg = SelectionConfig(budget=budget, pad_policy="none")
+        assert_matches_reference(FeatureMatrix(X), cfg)
 
 
 def test_near_duplicate_rows():

@@ -68,28 +68,6 @@ class TestScaleContract:
             select(FeatureMatrix(X), SelectionConfig(budget=3))
 
 
-class TestNormalizeFeatures:
-    """Only greedy and divbs read normalize_features; the baselines reject it
-    instead of echoing a setting they ignore."""
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda fm, c: select_uniform(fm, c),
-            lambda fm, c: select_top_score(fm, np.arange(40.0), c),
-            lambda fm, c: select_top_score(fm, None, c),
-            lambda fm, c: select_kmeanspp(fm, c),
-        ],
-        ids=["uniform", "top_score", "grad_norm", "kmeanspp"],
-    )
-    def test_baselines_reject_normalize(self, call):
-        rng = np.random.default_rng(32)
-        fm = FeatureMatrix(rng.standard_normal((40, 6)) * rng.uniform(0.1, 10.0, size=(40, 1)))
-        with pytest.raises(ContractViolationError, match="normalize_features"):
-            call(fm, cfg(4, normalize_features=True))
-        call(fm, cfg(4))
-
-
 class TestGreedy:
     def test_hand_example(self):
         result = select_greedy(HAND, cfg(2))
@@ -275,6 +253,14 @@ class TestPadding:
         assert len(padded.indices) == 7
         assert len(set(padded.indices)) == 7
         assert padded.padded == [False, False] + [True] * 5
+
+    @pytest.mark.parametrize("bad", [[20], [-1], [1.5], [True], [2, 2]])
+    def test_invalid_indices_rejected(self, bad):
+        fm = FeatureMatrix(np.random.default_rng(7).standard_normal((20, 3)))
+        base = SelectionResult(bad, [False] * len(bad), representativeness(fm, []), [], 0.0)
+        c = SelectionConfig(budget=3, pad_policy="uniform-random", seed=5)
+        with pytest.raises(ContractViolationError):
+            pad_selection(base, fm, c)
 
     def test_divbs_early_stop_pads_to_budget(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
