@@ -20,6 +20,7 @@ from .linalg import FeatureMatrix
 
 MAGIC = b"DIVBSFM1"
 HEADER = struct.Struct("<8sQQB")  # 25 bytes
+_INT32 = np.iinfo(np.int32)  # labels are stored as int32
 
 
 def atomic_write_bytes(path: str, payload: bytes):
@@ -127,9 +128,12 @@ def read_features_csv(path: str) -> FeatureMatrix:
             linenos.append(lineno)
             if has_labels:
                 try:
-                    labels.append(int(row[-1]))
+                    label = int(row[-1])
                 except ValueError:
                     raise LoadError(f"{path}: bad label at line {lineno}") from None
+                if not _INT32.min <= label <= _INT32.max:
+                    raise LoadError(f"{path}: label {label} outside int32 at line {lineno}")
+                labels.append(label)
     if not rows:
         raise LoadError(f"{path}: no data rows")
     values = np.array(rows)

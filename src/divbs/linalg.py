@@ -28,7 +28,8 @@ class FeatureMatrix:
     """N x D matrix of per-sample selection features, optionally labelled.
 
     values is row-major float64, one feature vector per row.  row_labels,
-    when present, assigns an integer group/class id to each row.
+    when present, assigns an integer group/class id to each row; it is
+    stored as int32, and a label outside that range is refused.
     """
 
     values: np.ndarray
@@ -46,7 +47,16 @@ class FeatureMatrix:
         if not np.isfinite(self.values).all():
             raise ContractViolationError("feature values contain NaN or Inf")
         if self.row_labels is not None:
-            self.row_labels = np.ascontiguousarray(self.row_labels, dtype=np.int32)
+            labels = np.asarray(self.row_labels)
+            int32 = np.iinfo(np.int32)
+            # the cast below would wrap an out-of-range label silently
+            if labels.size and labels.dtype.kind in "iuf":
+                lo, hi = labels.min(), labels.max()
+                if not (int32.min <= lo and hi <= int32.max):
+                    raise ContractViolationError(
+                        f"row_labels must fit in int32, got values in [{lo}, {hi}]"
+                    )
+            self.row_labels = np.ascontiguousarray(labels, dtype=np.int32)
             if self.row_labels.shape != (n,):
                 raise ContractViolationError(
                     f"row_labels length {self.row_labels.shape} does not match {n} rows"

@@ -14,7 +14,11 @@ call holds an extra N x D float32 copy of the features (N D 4 bytes).
 Both raise ContractViolationError when no row clears the dependence floor
 eps * max(1, ||x||) or a squared norm overflows.  The remaining selectors
 are baselines: they leave their objective to be evaluated on first read
-(SelectionResult), so their wall_time excludes it.  Every selector reads
+(SelectionResult), so their wall_time excludes it.  k-means++ updates its
+distances through a certified screen (_DistanceScreen): one BLAS product
+per pick bounds every row's distance to the pick, and only the rows whose
+distance may drop are recomputed directly, so the distances keep the bits
+of a full recomputation whatever the BLAS thread split.  Every selector reads
 features.values as given.  All selectors are deterministic: among equal
 computed scores the argmax takes the lowest row index (scores that are
 equal in exact arithmetic may still differ by rounding), and stochastic
@@ -127,6 +131,7 @@ def _finish(features, cfg, indices, scores, t0, objective) -> SelectionResult:
 _RECOMPUTE_TOL = 1e-8
 
 _U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 # Smallest normal numbers: every float operation whose result underflows is
 # off by less than these, with gradual underflow or flushed to zero.
 _TINY32 = 2.0**-126
@@ -236,6 +241,60 @@ class _Float32Screen:
         exact = _f64_scores(self.X.take(rows, axis=0), running)
         k = int(exact.argmax())
         return int(rows[k]), float(exact[k])
+
+
+class _DistanceScreen:
+    """Finds the rows whose k-means++ distance d2 a new pick c may lower.
+
+    One BLAS product X @ c and the squared row norms n2, computed once
+    (inf where they overflow), give
+    est_i = fl(n2_i - 2 x_i . c + n2_c).  For any summation order, est_i is
+    within gamma_{d+2} (||x_i|| + ||c||)^2 of ||x_i - c||^2, and the direct
+    distance fl(np.sum((x_i - c)**2)) is at least (1 - gamma_{d+2})
+    ||x_i - c||^2 (gamma_k = k u / (1 - k u), u = 2^-53; Higham 2002,
+    sec. 3.1).  So the direct distance is at least d2_i, and np.minimum
+    leaves d2_i as it is, wherever
+
+        est_i >= fl(fl(d2_i + k_i) + k_c),  k_i = kappa n2_i + 24 d tiny64,
+        kappa = 4 gamma / (1 - gamma) (1 + 2^-20),  gamma = gamma_{d+4}.
+
+    (||x|| + ||c||)^2 <= 2 ||x||^2 + 2 ||c||^2 turns the two gamma_{d+2}
+    terms into 4 gamma_{d+2} (||x_i||^2 + ||c||^2); gamma_{d+4} in their
+    place covers the rounding of the test, 1 / (1 - gamma) that of n2,
+    1 + 2^-20 that of k, and the tiny64 terms every product or sum that
+    underflows.  Only the rows that fail the test (a NaN fails it) get the
+    direct distance.  No row passes when (d + 4) u >= 0.1, or when some n2
+    exceeds 2^1016, so that est_i could overflow.
+    """
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        g = (d + 4) * _U64
+        with np.errstate(over="ignore"):
+            nrm2 = np.einsum("ij,ij->i", X, X)
+        self.X = X
+        self.nrm2 = nrm2
+        self.all_rows = None
+        if g >= 0.1 or float(nrm2.max()) > 2.0**1016:
+            self.all_rows = np.arange(n)
+            return
+        gamma = g / (1.0 - g)
+        kappa = 4.0 * gamma / (1.0 - gamma) * (1.0 + 2.0**-20)
+        self.k = kappa * nrm2 + 24 * d * _TINY64
+        self.est = np.empty(n)
+        self.floor = np.empty(n)
+
+    def uncertified(self, d2: np.ndarray, idx: int) -> np.ndarray:
+        """Indices of the rows whose direct distance to row idx may fall below d2."""
+        if self.all_rows is not None:
+            return self.all_rows
+        est = np.dot(self.X, self.X[idx], out=self.est)
+        est *= -2.0
+        est += self.nrm2
+        est += self.nrm2[idx]
+        floor = np.add(d2, self.k, out=self.floor)
+        floor += self.k[idx]
+        return np.flatnonzero(~(est >= floor))
 
 
 def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
@@ -409,9 +468,15 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     """k-means++ seeding as a selector.
 
     First row uniform; each next row sampled proportionally to its squared
-    Euclidean distance to the nearest already-selected row.  When every
+    Euclidean distance d2 to the nearest already-selected row.  When every
     remaining distance is zero (duplicate-only batches) the draw falls back
-    to uniform among the unselected rows.
+    to uniform among the unselected rows.  After each pick only the rows the
+    _DistanceScreen cannot certify get the direct distance
+    np.sum((x_i - c)**2), so d2 holds the same bits as recomputing every row.
+    Raises ContractViolationError when a draw is due and a squared distance
+    to the first pick or their sum overflows, since the draw is not defined
+    then; a later distance that overflows is +inf, which np.minimum never
+    takes.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
@@ -422,7 +487,16 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     indices = [first]
     chosen = np.zeros(n, dtype=bool)
     chosen[first] = True
-    d2 = np.sum((X - X[first]) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        d2 = np.sum((X - X[first]) ** 2, axis=1)
+        # every later d2 is at most this one, so no later sum overflows
+        overflow = not math.isfinite(float(d2.sum()))
+    if overflow and cfg.budget > 1:
+        raise ContractViolationError(
+            "feature scale out of range: a squared distance to the first pick "
+            "or their sum overflows"
+        )
+    screen = _DistanceScreen(X)
     while len(indices) < cfg.budget:
         total = float(d2.sum())
         if total > 0.0:
@@ -432,7 +506,12 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
             idx = int(remaining[rng.integers(remaining.size)])
         indices.append(idx)
         chosen[idx] = True
-        d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
+        if len(indices) == cfg.budget:
+            break
+        rows = screen.uncertified(d2, idx)
+        with np.errstate(over="ignore"):
+            near = np.sum((X.take(rows, axis=0) - X[idx]) ** 2, axis=1)
+        d2[rows] = np.minimum(d2[rows], near)
     return _finish(features, cfg, indices, [], t0, _DeferredObjective(features, indices, cfg))
 
 

@@ -7,7 +7,9 @@ matrix R and re-derives every norm each step; reference_divbs scores rows
 against an explicitly deflated running sum.  reference_divbs_direct is
 divbs without any float32 screening or downdating: every step recomputes
 the running sum from the selected basis and scores every row in float64.
-All return (indices, step_scores).
+These return (indices, step_scores).  reference_kmeanspp is the k-means++
+loop that select_kmeanspp replaced, kept verbatim: every pick recomputes
+every row's distance.  It returns the indices.
 """
 import numpy as np
 
@@ -119,3 +121,26 @@ def reference_divbs_direct(features: FeatureMatrix, cfg: SelectionConfig):
         alive[idx] = False
         basis._append(res / norm)
     return indices, scores
+
+
+def reference_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig):
+    _check_budget(features, cfg)
+    X = features.values
+    n = features.n_rows
+    rng = np.random.default_rng(cfg.seed)
+    first = int(rng.integers(n))
+    indices = [first]
+    chosen = np.zeros(n, dtype=bool)
+    chosen[first] = True
+    d2 = np.sum((X - X[first]) ** 2, axis=1)
+    while len(indices) < cfg.budget:
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            remaining = np.flatnonzero(~chosen)
+            idx = int(remaining[rng.integers(remaining.size)])
+        indices.append(idx)
+        chosen[idx] = True
+        d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
+    return indices

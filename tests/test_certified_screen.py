@@ -1,12 +1,18 @@
-"""Divbs's float32 screen and the float64 certificate behind its picks.
+"""The certified screens behind divbs's and k-means++'s picks.
 
 select_divbs scores every row in float32, gives each row an interval that
 must hold the exact score and its float64 evaluation, and re-scores in
 float64 only the rows whose interval reaches the leader's.  Its picks must
 therefore equal those of reference_divbs_direct, which scores every row in
 float64, at any scale and whatever the BLAS thread count.
+
+select_kmeanspp estimates each row's squared distance to a new pick from
+one BLAS product and recomputes directly only the rows whose distance the
+bound cannot keep at or above their current d2.  Its picks must therefore
+equal those of reference_kmeanspp, which recomputes every row, bit for bit.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,9 +27,15 @@ from hypothesis import strategies as st
 
 from divbs import linalg, selectors
 from divbs.linalg import FeatureMatrix
-from divbs.selectors import SelectionConfig, _Float32Screen, select_divbs
+from divbs.selectors import (
+    SelectionConfig,
+    _DistanceScreen,
+    _Float32Screen,
+    select_divbs,
+    select_kmeanspp,
+)
 
-from reference_selectors import reference_divbs_direct
+from reference_selectors import reference_divbs_direct, reference_kmeanspp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -244,19 +256,20 @@ _PICKS = """
 import json
 import numpy as np
 from divbs.linalg import FeatureMatrix
-from divbs.selectors import SelectionConfig, select_divbs
+from divbs.selectors import SelectionConfig, select_divbs, select_kmeanspp
 rng = np.random.default_rng(122)
 out = []
 for n, d, budget in [(1470, 404, 147), (600, 300, 200)]:
-    r = select_divbs(FeatureMatrix(rng.standard_normal((n, d))), SelectionConfig(budget=budget))
-    out.append([r.indices, [s.hex() for s in r.step_scores]])
+    fm, cfg = FeatureMatrix(rng.standard_normal((n, d))), SelectionConfig(budget=budget)
+    r = select_divbs(fm, cfg)
+    out.append([r.indices, [s.hex() for s in r.step_scores], select_kmeanspp(fm, cfg).indices])
 print(json.dumps(out))
 """
 
 
 def test_picks_independent_of_blas_threads():
-    """Indices and step scores are bitwise equal with one BLAS thread and with
-    the default thread count."""
+    """Divbs indices and step scores, and k-means++ indices, are bitwise equal
+    with one BLAS thread and with the default thread count."""
     thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in thread_vars}
     env["PYTHONPATH"] = str(SRC)
@@ -273,3 +286,86 @@ def test_picks_independent_of_blas_threads():
         return json.loads(proc.stdout)
 
     assert picks({"OPENBLAS_NUM_THREADS": "1"}) == picks({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 24),
+    integer=st.booleans(),
+    offset=st.sampled_from([0.0, 1e3]),
+    factor=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    exponent=st.integers(-560, 505),
+    duplicates=st.integers(0, 8),
+    budget=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeanspp_matches_reference(
+    n, d, integer, offset, factor, exponent, duplicates, budget, seed
+):
+    """Gaussian or small-integer rows (exact distance ties), offset by +1e3
+    (||x||^2 - 2 x . c + ||c||^2 cancels) or not, with duplicated rows,
+    scaled so that the largest entry is 2^exponent: from 2^-560, where
+    every square underflows, to 2^505, where the distance sum nears 2^1022."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n, d)).astype(float) if integer else rng.standard_normal((n, d))
+    X = (X + offset) * factor
+    for _ in range(duplicates):
+        X[rng.integers(n)] = X[rng.integers(n)]
+    top = float(np.abs(X).max())
+    if top > 0.0:
+        X *= 2.0 ** (exponent - math.frexp(top)[1])  # exact: a power of two
+    fm = FeatureMatrix(X)
+    cfg = SelectionConfig(budget=min(budget, n), pad_policy="none", seed=seed % 1000)
+    assert select_kmeanspp(fm, cfg).indices == reference_kmeanspp(fm, cfg)
+
+
+def _exact_distances(X, c):
+    return [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, c)) for row in X]
+
+
+@pytest.mark.parametrize(
+    "scale,offset",
+    [(1.0, 0.0), (1.0, 1e3), (2.0**-560, 0.0), (2.0**-530, 1.0), (2.0**480, 0.0), (1e-6, 1e3)],
+    ids=["plain", "offset", "underflow", "subnormal", "2^480", "tiny-offset"],
+)
+def test_distance_screen_recomputes_every_row_that_can_move(scale, offset):
+    """Against exact rational distances T_i = ||x_i - c||^2: every row whose
+    T_i or whose direct float distance fl(sum((x_i - c)^2)) lies below its d2
+    must be recomputed.  Each d2_i is set within a few ulp, or a few parts
+    in 1e13, of T_i on either side, where rounding decides the comparison."""
+    rng = np.random.default_rng(128)
+    for trial in range(12):
+        n, d = 60, int(rng.integers(1, 40))
+        X = (rng.standard_normal((n, d)) + offset) * scale
+        X[3] = X[4]  # a row at distance 0 from the pick
+        idx = 4
+        screen = _DistanceScreen(X)
+        exact = _exact_distances(X, X[idx])
+        direct = np.sum((X - X[idx]) ** 2, axis=1)
+        d2 = np.array([float(t) for t in exact])
+        for i, k in enumerate(rng.integers(-3, 4, n)):
+            for _ in range(abs(int(k))):
+                d2[i] = np.nextafter(d2[i], math.copysign(math.inf, k))
+        d2[::3] *= 1.0 + rng.integers(-5, 6, n)[::3] * 1e-13
+        d2 = np.maximum(d2, 0.0)
+        rows = set(screen.uncertified(d2, idx).tolist())
+        for i in range(n):
+            if exact[i] < Fraction(d2[i]) or direct[i] < d2[i]:
+                assert i in rows, (trial, i)
+    # a NaN fails the test, so it certifies nothing
+    assert screen.uncertified(np.full(n, np.nan), idx).size == n
+
+
+def test_kmeanspp_recomputes_every_row_when_the_bound_is_not_small(monkeypatch):
+    """With (d + 4) u >= 0.1 the screen certifies nothing: every row gets the
+    direct distance.  Raising u to 0.05 reaches that case at any D."""
+    monkeypatch.setattr(selectors, "_U64", 0.05)
+    rng = np.random.default_rng(129)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 12))
+        fm = FeatureMatrix(rng.standard_normal((n, d)))
+        screen = _DistanceScreen(fm.values)
+        assert screen.uncertified(np.zeros(n), 0).tolist() == list(range(n))
+        cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none", seed=3)
+        assert select_kmeanspp(fm, cfg).indices == reference_kmeanspp(fm, cfg)

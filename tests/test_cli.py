@@ -190,6 +190,16 @@ class TestSelect:
         assert main(argv + ["--pad", "uniform", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_kmeanspp_overflowing_scale_data_error(self, tmp_path, capsys):
+        feat = str(tmp_path / "f.bin")
+        X = 1e160 * np.random.default_rng(61).standard_normal((20, 5))
+        write_features_binary(FeatureMatrix(X), feat)
+        out = tmp_path / "sel.json"
+        argv = ["select", "--features", feat, "--strategy", "kmeanspp", "--budget", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert "feature scale out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("strategy", ["uniform", "top_score", "grad_norm", "kmeanspp"])
     def test_normalize_features_rejected_by_baselines(self, hand_features, tmp_path, strategy):
         scores = tmp_path / "scores.txt"
@@ -462,6 +472,13 @@ class TestBadInputExitCodes:
     def test_non_finite_budget_ratio(self, hand_features, ratio):
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + [f"--budget-ratio={ratio}"]) == 3
+
+    def test_label_outside_int32(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,3000000000\n")
+        args = ["select", "--features", str(path), "--strategy", "uniform", "--budget", "1"]
+        assert main(args) == 3
+        assert "line 3" in capsys.readouterr().err
 
     def test_oracle_check_zero_trials(self):
         args = ["oracle-check", "--n", "4", "--d", "2", "--budget", "2", "--trials", "0"]

@@ -91,6 +91,12 @@ class TestCsvFormat:
         with pytest.raises(LoadError, match="line 3"):
             read_features_csv(str(path))
 
+    def test_label_outside_int32_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("f0,label\n1.0,2147483647\n\n2.0,3000000000\n")
+        with pytest.raises(LoadError, match="line 4$"):
+            read_features_csv(str(path))
+
     def test_non_finite_names_line(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("f0\n1.0\ninf\n")

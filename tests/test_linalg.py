@@ -14,6 +14,17 @@ class TestFeatureMatrix:
         with pytest.raises(ContractViolationError):
             FeatureMatrix(np.empty((0, 3)))
 
+    @pytest.mark.parametrize(
+        "labels", [[0, 3_000_000_000], np.array([-(2**31) - 1, 0]), [0.0, np.nan]]
+    )
+    def test_label_outside_int32_rejected(self, labels):
+        with pytest.raises(ContractViolationError, match="int32"):
+            FeatureMatrix(np.ones((2, 2)), row_labels=labels)
+
+    def test_int32_extremes_kept(self):
+        labels = [-(2**31), 2**31 - 1]
+        assert FeatureMatrix(np.ones((2, 2)), row_labels=labels).row_labels.tolist() == labels
+
     def test_label_length_checked(self):
         with pytest.raises(ContractViolationError):
             FeatureMatrix(np.ones((2, 2)), row_labels=np.array([0]))

@@ -67,6 +67,32 @@ class TestScaleContract:
         with pytest.raises(ContractViolationError, match="overflows"):
             select(FeatureMatrix(X), SelectionConfig(budget=3))
 
+    @pytest.mark.parametrize(
+        "X",
+        [
+            1e160 * np.random.default_rng(32).standard_normal((20, 5)),
+            np.tile([[1.5e153], [-1.5e153]], (10, 5)),
+        ],
+        ids=["row-norms", "distance-sum"],
+    )
+    def test_kmeanspp_overflowing_scale_rejected(self, X):
+        """At 1e160 the squared distances overflow; at +-1.5e153 each is finite
+        but their sum is not.  Either way no draw is defined.  A budget of one
+        needs no draw and still succeeds."""
+        fm = FeatureMatrix(X)
+        with pytest.raises(ContractViolationError, match="overflows"):
+            select_kmeanspp(fm, SelectionConfig(budget=3))
+        assert len(select_kmeanspp(fm, SelectionConfig(budget=1)).indices) == 1
+
+    def test_kmeanspp_later_distance_overflow_is_never_taken(self):
+        """Rows 0, +R and -R with R^2 finite but (2R)^2 not: from the first pick,
+        row 0 (seed 11), the draw is defined; the distance between +R and -R
+        overflows to +inf, which np.minimum never takes, and no warning escapes."""
+        fm = FeatureMatrix(np.array([[0.0], [9e153], [-9e153]]))
+        c = SelectionConfig(budget=3, pad_policy="none", seed=11)
+        assert select_kmeanspp(fm, c).indices[0] == 0
+        assert sorted(select_kmeanspp(fm, c).indices) == [0, 1, 2]
+
 
 class TestGreedy:
     def test_hand_example(self):
