@@ -2,8 +2,7 @@
 
 Subcommands: select, oracle-check, metrics, toy, bench.  Every report is
 JSON; exit codes are 0 for success, 2 for usage errors, 3 for data or
-contract errors.  The environment variable DIVBS_EPS overrides the default
-dependence tolerance; the --eps flag wins over both.
+contract errors.  --eps sets the dependence tolerance of every subcommand.
 """
 from __future__ import annotations
 
@@ -36,16 +35,6 @@ from .toy import TOY_STRATEGIES, run_toy_experiment
 GREEDY_BOUND = 1.0 - math.exp(-1.0)
 
 
-def _default_eps() -> float:
-    raw = os.environ.get("DIVBS_EPS")
-    if raw is None:
-        return DEFAULT_EPS
-    try:
-        return float(raw)
-    except ValueError:
-        raise LoadError(f"DIVBS_EPS is not a number: {raw!r}") from None
-
-
 def _emit(report: dict, out: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -55,11 +44,15 @@ def _emit(report: dict, out: str | None):
 
 
 def _read_scores(path: str) -> np.ndarray:
-    try:
-        with open(path) as f:
-            vals = [float(line) for line in f if line.strip()]
-    except ValueError as exc:
-        raise LoadError(f"{path}: bad score value: {exc}") from None
+    vals = []
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                vals.append(float(line))
+            except ValueError as exc:
+                raise LoadError(f"{path}: bad score value at line {lineno}: {exc}") from None
     return np.array(vals)
 
 
@@ -103,12 +96,7 @@ def cmd_select(args) -> int:
         raise UsageError(f"--scores is read only by --strategy top_score, not {args.strategy}")
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
-    cfg = SelectionConfig(
-        budget=budget,
-        eps=args.eps,
-        pad_policy=PAD_UNIFORM if args.pad == "uniform" else PAD_NONE,
-        seed=args.seed,
-    )
+    cfg = SelectionConfig(budget=budget, eps=args.eps, pad_policy=args.pad, seed=args.seed)
     scores = None
     if args.strategy == "top_score":
         if args.scores is None:
@@ -291,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_eps(p):
-        p.add_argument("--eps", type=float, default=None, help="dependence tolerance")
+        p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="dependence tolerance")
 
     p = sub.add_parser("select", help="select a subset from a feature file")
     p.add_argument("--features", required=True)
@@ -302,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", default=None)
     p.add_argument("--seed", type=int, default=0)
     add_eps(p)
-    p.add_argument("--pad", choices=("none", "uniform"), default="none")
+    p.add_argument("--pad", choices=(PAD_NONE, PAD_UNIFORM), default=PAD_NONE)
     p.add_argument("--normalize-features", action="store_true", dest="normalize_features")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_select)
@@ -354,8 +342,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.eps is None:
-            args.eps = _default_eps()
         check_eps(args.eps)
         return args.func(args)
     except UsageError as exc:

@@ -23,12 +23,15 @@ HEADER = struct.Struct("<8sQQB")  # 25 bytes
 _INT32 = np.iinfo(np.int32)  # labels are stored as int32
 
 
-def atomic_write_bytes(path: str, payload: bytes):
+def atomic_write_bytes(path: str, *payloads):
+    """Write the payloads (bytes-like, contiguous) one after another to a
+    temporary file, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+            for payload in payloads:
+                f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,41 +45,36 @@ def atomic_write_text(path: str, text: str):
 
 def write_features_binary(matrix: FeatureMatrix, path: str):
     has_labels = matrix.row_labels is not None
+    # the arrays go to the file as they are, without an intermediate bytes copy
     parts = [
         HEADER.pack(MAGIC, matrix.n_rows, matrix.dim, 1 if has_labels else 0),
-        np.ascontiguousarray(matrix.values, dtype="<f8").tobytes(),
+        np.ascontiguousarray(matrix.values, dtype="<f8"),
     ]
     if has_labels:
-        parts.append(np.ascontiguousarray(matrix.row_labels, dtype="<i4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        parts.append(np.ascontiguousarray(matrix.row_labels, dtype="<i4"))
+    atomic_write_bytes(path, *parts)
 
 
 def read_features_binary(path: str) -> FeatureMatrix:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(HEADER.size)
-    if len(head) < HEADER.size:
-        raise LoadError(f"{path}: truncated header at offset {len(head)}")
-    magic, n_rows, dim, has_labels = HEADER.unpack(head)
-    if magic != MAGIC:
-        raise LoadError(f"{path}: bad magic at offset 0")
-    if has_labels not in (0, 1):
-        raise LoadError(f"{path}: invalid has_labels byte at offset 24")
-    expected = HEADER.size + 8 * n_rows * dim + 4 * n_rows * has_labels
-    if size != expected:
-        raise LoadError(
-            f"{path}: file length {size} does not match expected {expected} bytes"
-        )
-    if n_rows < 1 or dim < 1:
-        raise LoadError(f"{path}: invalid shape {n_rows}x{dim} in header")
-    values = np.fromfile(
-        path, dtype="<f8", count=n_rows * dim, offset=HEADER.size
-    ).reshape(n_rows, dim)
-    labels = None
-    if has_labels:
-        labels = np.fromfile(
-            path, dtype="<i4", count=n_rows, offset=HEADER.size + 8 * n_rows * dim
-        )
+        if len(head) < HEADER.size:
+            raise LoadError(f"{path}: truncated header at offset {len(head)}")
+        magic, n_rows, dim, has_labels = HEADER.unpack(head)
+        if magic != MAGIC:
+            raise LoadError(f"{path}: bad magic at offset 0")
+        if has_labels not in (0, 1):
+            raise LoadError(f"{path}: invalid has_labels byte at offset 24")
+        expected = HEADER.size + 8 * n_rows * dim + 4 * n_rows * has_labels
+        if size != expected:
+            raise LoadError(
+                f"{path}: file length {size} does not match expected {expected} bytes"
+            )
+        if n_rows < 1 or dim < 1:
+            raise LoadError(f"{path}: invalid shape {n_rows}x{dim} in header")
+        values = np.fromfile(f, dtype="<f8", count=n_rows * dim).reshape(n_rows, dim)
+        labels = np.fromfile(f, dtype="<i4", count=n_rows) if has_labels else None
     try:
         return FeatureMatrix(values, labels)
     except ContractViolationError:
@@ -88,17 +86,12 @@ def read_features_binary(path: str) -> FeatureMatrix:
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str):
-    has_labels = matrix.row_labels is not None
     header = [f"f{j}" for j in range(matrix.dim)]
-    if has_labels:
+    rows = [",".join(map(repr, row)) for row in matrix.values.tolist()]
+    if matrix.row_labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for i in range(matrix.n_rows):
-        cells = [repr(float(v)) for v in matrix.values[i]]
-        if has_labels:
-            cells.append(str(int(matrix.row_labels[i])))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = [f"{row},{label}" for row, label in zip(rows, matrix.row_labels.tolist())]
+    atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def read_features_csv(path: str) -> FeatureMatrix:

@@ -82,24 +82,22 @@ def representativeness(
 
 
 def brute_force_optimum(
-    features: FeatureMatrix,
-    budget: int,
-    eps: float = DEFAULT_EPS,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    features: FeatureMatrix, budget: int, eps: float = DEFAULT_EPS
 ) -> tuple[tuple[int, ...], ObjectiveValue]:
     """Exhaustive maximizer of r over all subsets of size <= budget.
 
-    Ties are broken by the lexicographically smallest index tuple.  Refuses
-    to run when the total number of subsets exceeds the cap.
+    Ties are broken by the lexicographically smallest index tuple.  Raises
+    EnumerationCapError, without enumerating, when the total number of
+    subsets exceeds DEFAULT_ENUMERATION_CAP.
     """
     if budget < 1:
         raise ContractViolationError(f"budget must be >= 1, got {budget}")
     n = features.n_rows
     total_subsets = sum(math.comb(n, k) for k in range(min(budget, n) + 1))
-    if total_subsets > cap:
+    if total_subsets > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"brute force would enumerate {total_subsets} subsets, "
-            f"exceeding the cap of {cap}"
+            f"exceeding the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     values = features.values
     total = values.sum(axis=0)

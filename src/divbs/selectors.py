@@ -38,7 +38,7 @@ from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
 from .objective import ObjectiveValue, _check_subset, representativeness
 
 PAD_NONE = "none"
-PAD_UNIFORM = "uniform-random"
+PAD_UNIFORM = "uniform"
 
 
 @dataclass

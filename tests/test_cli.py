@@ -136,6 +136,24 @@ class TestSelect:
         )
         assert code == 3
 
+    def test_bad_score_value_names_line(self, hand_features, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("3.0\n\nx\n")
+        argv = ["select", "--features", hand_features, "--strategy", "top_score"]
+        assert main(argv + ["--scores", str(scores), "--budget", "2"]) == 3
+        assert f"{scores}: bad score value at line 3:" in capsys.readouterr().err
+
+    def test_pad_uniform_echoed_as_given(self, tmp_path, schema):
+        fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
+        feat = str(tmp_path / "f.bin")
+        write_features_binary(fm, feat)
+        out = str(tmp_path / "sel.json")
+        argv = ["select", "--features", feat, "--strategy", "divbs", "--budget", "2"]
+        assert main(argv + ["--pad", "uniform", "--out", out]) == 0
+        report = validate(out, schema)
+        assert report["config_echo"]["pad"] == "uniform"
+        assert report["padded"] == [False, True]
+
     @pytest.mark.parametrize(
         "lines", ["3.0\n1.0\n2.0\n", "nan\nnan\nnan\n", "3.0\n1.0\n"],
         ids=["valid", "all-nan", "wrong-length"],
@@ -164,13 +182,9 @@ class TestSelect:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "env,flag", [("nan", None), ("-1e-3", None), ("inf", None), (None, "-5")]
-    )
-    def test_bad_eps_data_error(self, hand_features, tmp_path, monkeypatch, env, flag):
-        if env is not None:
-            monkeypatch.setenv("DIVBS_EPS", env)
-        eps = [] if flag is None else ["--eps", flag]
+    @pytest.mark.parametrize("flag", ["nan", "-1e-3", "inf", "-5"])
+    def test_bad_eps_data_error(self, hand_features, tmp_path, flag):
+        eps = [f"--eps={flag}"]  # "=" so argparse takes "-1e-3" as a value
         out = tmp_path / "sel.json"
         argv = ["select", "--features", hand_features, "--strategy", "divbs", "--budget", "2"]
         assert main(argv + ["--pad", "uniform", "--out", str(out)] + eps) == 3
@@ -262,7 +276,8 @@ class TestSelect:
         assert code == 3
 
     def test_eps_env_override(self, hand_features, tmp_path, schema, monkeypatch):
-        monkeypatch.setenv("DIVBS_EPS", "1e-6")
+        """DIVBS_EPS overrides nothing: only --eps sets the tolerance."""
+        monkeypatch.setenv("DIVBS_EPS", "nan")
         out = str(tmp_path / "sel.json")
         code = main(
             [
@@ -278,8 +293,7 @@ class TestSelect:
             ]
         )
         assert code == 0
-        assert validate(out, schema)["config_echo"]["eps"] == 1e-6
-        # the flag wins over the environment
+        assert validate(out, schema)["config_echo"]["eps"] == 1e-10
         code = main(
             [
                 "select",

@@ -5,6 +5,7 @@ import pytest
 
 from divbs.errors import LoadError
 from divbs.featfile import (
+    HEADER,
     MAGIC,
     read_features,
     read_features_binary,
@@ -37,6 +38,13 @@ class TestBinaryFormat:
         back = read_features_binary(path)
         assert back.values.tobytes() == fm.values.tobytes()
         np.testing.assert_array_equal(back.row_labels, fm.row_labels)
+
+    def test_labelled_file_bytes(self, tmp_path):
+        fm = random_matrix(np.random.default_rng(51), 5, 3, labelled=True)
+        path = tmp_path / "m.bin"
+        write_features_binary(fm, str(path))
+        head = HEADER.pack(MAGIC, 5, 3, 1)
+        assert path.read_bytes() == head + fm.values.tobytes() + fm.row_labels.tobytes()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -76,6 +84,17 @@ class TestCsvFormat:
         write_features_csv(fm, path)
         back = read_features_csv(path)
         np.testing.assert_array_equal(back.values, fm.values)
+
+    def test_file_text(self, tmp_path):
+        """Shortest round-tripping repr for every value, signed zero and
+        subnormals included, and labels at both ends of int32."""
+        values = np.array([[-0.0, 5e-324, 1e16], [1e300, 0.1, 2.0]])
+        fm = FeatureMatrix(values, np.array([-2147483648, 2147483647]))
+        path = tmp_path / "m.csv"
+        write_features_csv(fm, str(path))
+        assert path.read_text() == (
+            "f0,f1,f2,label\n-0.0,5e-324,1e+16,-2147483648\n1e+300,0.1,2.0,2147483647\n"
+        )
 
     def test_label_column_detected(self, tmp_path):
         rng = np.random.default_rng(53)

@@ -159,9 +159,10 @@ class TestBruteForce:
         assert obj.r == pytest.approx(expected, rel=1e-12)
 
     def test_cap_refusal(self):
+        """30 rows at budget 15 is over 10^8 subsets, past the default cap."""
         fm = FeatureMatrix(np.ones((30, 2)))
-        with pytest.raises(EnumerationCapError, match="cap"):
-            brute_force_optimum(fm, 15, cap=1000)
+        with pytest.raises(EnumerationCapError, match="cap of 2000000"):
+            brute_force_optimum(fm, 15)
 
     def test_dominates_greedy(self):
         from divbs.selectors import SelectionConfig, select_greedy

@@ -11,6 +11,7 @@ from divbs.linalg import FeatureMatrix, OrthonormalBasis
 from divbs.metrics import selection_rank
 from divbs.objective import basis_of_subset, representativeness
 from divbs.selectors import (
+    PAD_UNIFORM,
     SelectionConfig,
     SelectionResult,
     pad_selection,
@@ -39,6 +40,11 @@ class TestConfig:
 
     def test_accepts_zero_eps(self):
         assert SelectionConfig(budget=1, eps=0.0).eps == 0.0
+
+    @pytest.mark.parametrize("pad", ["uniform-random", "random"])
+    def test_rejects_unknown_pad_policy(self, pad):
+        with pytest.raises(ContractViolationError, match="pad_policy"):
+            SelectionConfig(budget=1, pad_policy=pad)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ContractViolationError, match="seed"):
@@ -257,7 +263,7 @@ class TestKmeanspp:
 class TestPadding:
     def test_full_selection_unchanged(self):
         fm = FeatureMatrix(np.eye(3))
-        c = SelectionConfig(budget=2, pad_policy="uniform-random", seed=5)
+        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=5)
         result = select_greedy(fm, c)
         assert len(result.indices) == 2
         assert result.padded == [False, False]
@@ -265,7 +271,7 @@ class TestPadding:
     def test_empty_selection_padded(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
         base = SelectionResult([], [], representativeness(fm, []), [], 0.0)
-        c = SelectionConfig(budget=2, pad_policy="uniform-random", seed=5)
+        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=5)
         padded = pad_selection(base, fm, c)
         assert len(padded.indices) == 2
         assert padded.padded == [True, True]
@@ -274,7 +280,7 @@ class TestPadding:
         rng = np.random.default_rng(6)
         fm = FeatureMatrix(rng.standard_normal((10, 2)))
         base = SelectionResult([1, 4], [False, False], representativeness(fm, [1, 4]), [], 0.0)
-        c = SelectionConfig(budget=7, pad_policy="uniform-random", seed=8)
+        c = SelectionConfig(budget=7, pad_policy=PAD_UNIFORM, seed=8)
         padded = pad_selection(base, fm, c)
         assert len(padded.indices) == 7
         assert len(set(padded.indices)) == 7
@@ -284,13 +290,13 @@ class TestPadding:
     def test_invalid_indices_rejected(self, bad):
         fm = FeatureMatrix(np.random.default_rng(7).standard_normal((20, 3)))
         base = SelectionResult(bad, [False] * len(bad), representativeness(fm, []), [], 0.0)
-        c = SelectionConfig(budget=3, pad_policy="uniform-random", seed=5)
+        c = SelectionConfig(budget=3, pad_policy=PAD_UNIFORM, seed=5)
         with pytest.raises(ContractViolationError):
             pad_selection(base, fm, c)
 
     def test_divbs_early_stop_pads_to_budget(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
-        c = SelectionConfig(budget=2, pad_policy="uniform-random", seed=0)
+        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=0)
         result = select_divbs(fm, c)
         assert len(result.indices) == 2
 
