@@ -22,17 +22,18 @@ from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
 from .metrics import diversity_report
 from .objective import brute_force_optimum
 from .selectors import (
-    PAD_NONE,
-    PAD_UNIFORM,
     STRATEGIES,
     SelectionConfig,
     SelectionResult,
+    pad_selection,
     select_divbs,
     select_greedy,
 )
 from .toy import TOY_STRATEGIES, run_toy_experiment
 
 GREEDY_BOUND = 1.0 - math.exp(-1.0)
+PAD_NONE = "none"
+PAD_UNIFORM = "uniform"
 
 
 def _emit(report: dict, out: str | None):
@@ -96,7 +97,7 @@ def cmd_select(args) -> int:
         raise UsageError(f"--scores is read only by --strategy top_score, not {args.strategy}")
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
-    cfg = SelectionConfig(budget=budget, eps=args.eps, pad_policy=args.pad, seed=args.seed)
+    cfg = SelectionConfig(budget=budget, eps=args.eps, seed=args.seed)
     scores = None
     if args.strategy == "top_score":
         if args.scores is None:
@@ -110,6 +111,8 @@ def cmd_select(args) -> int:
             raise ContractViolationError(f"cannot normalize zero feature row {np.argmin(norms)}")
         features = FeatureMatrix(features.values / norms[:, None], features.row_labels)
     result = STRATEGIES[args.strategy](features, scores, cfg)
+    if args.pad == PAD_UNIFORM:
+        result = pad_selection(result, features, cfg)
     echo = {
         "strategy": args.strategy,
         "budget": budget,
@@ -130,7 +133,7 @@ def cmd_oracle_check(args) -> int:
     for _ in range(args.trials):
         features = FeatureMatrix(rng.standard_normal((args.n, args.d)))
         _, opt = brute_force_optimum(features, args.budget, eps=args.eps)
-        cfg = SelectionConfig(budget=args.budget, eps=args.eps, pad_policy=PAD_NONE)
+        cfg = SelectionConfig(budget=args.budget, eps=args.eps)
         g = select_greedy(features, cfg).objective.r
         a = select_divbs(features, cfg).objective.r
         greedy_ratios.append(g / opt.r)
@@ -240,7 +243,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     greedy_times = []
     divbs_times = []
-    cfg = SelectionConfig(budget=args.budget, eps=args.eps, pad_policy=PAD_NONE)
+    cfg = SelectionConfig(budget=args.budget, eps=args.eps)
     for _ in range(args.trials):
         features = FeatureMatrix(rng.standard_normal((args.n, args.d)))
         t0 = time.perf_counter()

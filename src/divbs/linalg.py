@@ -75,12 +75,14 @@ class OrthonormalBasis:
     """Ordered set of pairwise-orthonormal unit vectors, grown incrementally.
 
     eps controls when a residual counts as zero: a candidate is considered
-    linearly dependent when its residual norm is <= eps * max(1, ||v||).
+    linearly dependent when its residual norm is <= eps * max(1, ||v||);
+    a NaN, infinite or negative eps is refused (check_eps).
     """
 
     def __init__(self, dim: int, eps: float = DEFAULT_EPS):
         if dim < 1:
             raise ContractViolationError(f"basis dim must be >= 1, got {dim}")
+        check_eps(eps)
         self.dim = int(dim)
         self.eps = float(eps)
         self._size = 0

@@ -4,9 +4,9 @@ select_greedy (exact greedy maximization of the representativeness
 objective) and select_divbs (the fast approximation, which scores rows
 against a deflated running batch sum) each run their own implicit
 Gram-Schmidt step loop and share only set-up (_prepare), the acceptance
-rule (OrthonormalBasis.extend), ObjectiveValue.from_coefficients and
-padding.  Greedy keeps its scores and residual norms downdated in float64
-(one float64 pass over X per step).  Divbs screens every row in float32
+rule (OrthonormalBasis.extend) and ObjectiveValue.from_coefficients.
+Greedy keeps its scores and residual norms downdated in float64 (one
+float64 pass over X per step).  Divbs screens every row in float32
 against an explicit float64 running sum and certifies the pick in float64
 (_Float32Screen).  Its pick is the float64 argmax, bitwise reproducible
 whatever the BLAS thread split, from half the bytes per step; each divbs
@@ -18,9 +18,11 @@ are baselines: they leave their objective to be evaluated on first read
 distances through a certified screen (_DistanceScreen): one BLAS product
 per pick bounds every row's distance to the pick, and only the rows whose
 distance may drop are recomputed directly, so the distances keep the bits
-of a full recomputation whatever the BLAS thread split.  Every selector reads
-features.values as given.  All selectors are deterministic: among equal
-computed scores the argmax takes the lowest row index (scores that are
+of a full recomputation whatever the BLAS thread split.  Every selector
+reads features.values as given.  No selector pads: a selection that stops
+short of the budget is returned short, and a caller that wants a full
+batch fills it with pad_selection.  All selectors are deterministic: among
+equal computed scores the argmax takes the lowest row index (scores that are
 equal in exact arithmetic may still differ by rounding), and stochastic
 strategies are driven entirely by the config seed.  STRATEGIES maps every
 strategy name to a call on (features, scores, cfg).
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -37,39 +39,39 @@ from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
 from .objective import ObjectiveValue, _check_subset, representativeness
 
-PAD_NONE = "none"
-PAD_UNIFORM = "uniform"
-
 
 @dataclass
 class SelectionConfig:
     budget: int
     eps: float = DEFAULT_EPS
-    pad_policy: str = PAD_UNIFORM
+    # Not a field: a construction keyword kept only because perfbench passes
+    # pad_policy="none".  Selectors never pad.
+    pad_policy: InitVar[str] = "none"
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, pad_policy):
         if self.budget < 1:
             raise ContractViolationError(f"budget must be >= 1, got {self.budget}")
         check_eps(self.eps)
         if self.seed < 0:
             raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
-        if self.pad_policy not in (PAD_NONE, PAD_UNIFORM):
-            raise ContractViolationError(f"unknown pad_policy {self.pad_policy!r}")
+        if pad_policy != "none":
+            raise ContractViolationError(f"pad_policy {pad_policy!r} refused: use pad_selection")
 
 
 @dataclass
 class SelectionResult:
     """A selection and its objective, r, r_prime and basis size of the
-    unpadded picks (the rows whose padded flag is False).
+    unpadded picks (the rows whose padded flag is False).  A selector returns
+    only its own picks, all unpadded; pad_selection appends the padded rows.
 
     Greedy and divbs fill objective from their coefficients.  The baselines
     defer it: the first read of result.objective evaluates representativeness
     over the unpadded picks and stores the value in place of the deferred
     object, dropping its reference to the features.  So the objective, and the
     basis of the picks it builds, cost nothing until something reads them.
-    wall_time is the selector's own time, without padding or a deferred
-    objective.
+    wall_time is the selector's own time, without a deferred objective;
+    pad_selection keeps it as it is.
     """
 
     indices: list[int]
@@ -114,15 +116,14 @@ def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
         )
 
 
-def _finish(features, cfg, indices, scores, t0, objective) -> SelectionResult:
-    result = SelectionResult(
+def _finish(indices, scores, t0, objective) -> SelectionResult:
+    return SelectionResult(
         indices=list(indices),
         padded=[False] * len(indices),
         objective=objective,
         step_scores=[float(s) for s in scores],
         wall_time=time.perf_counter() - t0,
     )
-    return pad_selection(result, features, cfg) if len(indices) < cfg.budget else result
 
 
 # A downdated squared norm that has lost all but this fraction of its
@@ -379,7 +380,7 @@ def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRes
         indices.append(idx)
         scores.append(abs(coef))
         coeffs.append(coef)
-    return _finish(features, cfg, indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
+    return _finish(indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
 
 
 def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -425,7 +426,7 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
         indices.append(idx)
         scores.append(score)
         coeffs.append(coef)
-    return _finish(features, cfg, indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
+    return _finish(indices, scores, t0, ObjectiveValue.from_coefficients(coeffs))
 
 
 def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -434,7 +435,7 @@ def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRe
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
-    return _finish(features, cfg, indices, [], t0, _DeferredObjective(features, indices, cfg))
+    return _finish(indices, [], t0, _DeferredObjective(features, indices, cfg))
 
 
 def select_top_score(
@@ -459,9 +460,7 @@ def select_top_score(
     order = np.lexsort((np.arange(features.n_rows), -scores))
     indices = order[: cfg.budget].tolist()
     step_scores = [float(scores[i]) for i in indices]
-    return _finish(
-        features, cfg, indices, step_scores, t0, _DeferredObjective(features, indices, cfg)
-    )
+    return _finish(indices, step_scores, t0, _DeferredObjective(features, indices, cfg))
 
 
 def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -512,16 +511,18 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
         with np.errstate(over="ignore"):
             near = np.sum((X.take(rows, axis=0) - X[idx]) ** 2, axis=1)
         d2[rows] = np.minimum(d2[rows], near)
-    return _finish(features, cfg, indices, [], t0, _DeferredObjective(features, indices, cfg))
+    return _finish(indices, [], t0, _DeferredObjective(features, indices, cfg))
 
 
 def pad_selection(
     result: SelectionResult, features: FeatureMatrix, cfg: SelectionConfig
 ) -> SelectionResult:
-    """Fill a short selection of distinct row indices to the budget with seeded uniform draws."""
+    """Fill a short selection of distinct row indices to cfg.budget with
+    seeded uniform draws from the other rows, flagged padded; a full selection
+    is returned as it is.  The objective and wall_time are passed through."""
     _check_subset(features.n_rows, result.indices)
     missing = cfg.budget - len(result.indices)
-    if cfg.pad_policy != PAD_UNIFORM or missing <= 0:
+    if missing <= 0:
         return result
     pool = np.setdiff1d(np.arange(features.n_rows), np.asarray(result.indices, dtype=int))
     # independent stream so padding never perturbs the selector's own draws

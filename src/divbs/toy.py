@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix
 from .metrics import DiversityReport, diversity_report
-from .selectors import STRATEGIES, SelectionConfig
+from .selectors import STRATEGIES, SelectionConfig, pad_selection
 
 DEFAULT_MEANS = ((0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0))
 DEFAULT_COUNTS = (1000, 300, 150, 20)
@@ -241,9 +241,11 @@ def run_toy_experiment(
     """Train the toy MLP with per-epoch batch selection.
 
     Each epoch runs one forward pass over the whole dataset, selects
-    floor(budget_ratio * N) samples with the given strategy (padded with
-    uniform draws if it stops short), and takes one Adam step on the mean
-    loss over the selected subset.
+    floor(budget_ratio * N) samples with the given strategy, fills a
+    selection that stops short (greedy or divbs) to the budget with
+    pad_selection's seeded uniform draws, and takes one Adam step on the
+    mean loss over the selected subset.  final_padded flags the padded rows
+    of the last epoch's batch.
     """
     if strategy not in TOY_STRATEGIES:
         raise ContractViolationError(f"unknown strategy {strategy!r}")
@@ -259,6 +261,7 @@ def run_toy_experiment(
     n = data.n_rows
     budget = max(1, int(budget_ratio * n))
     model = init_mlp(seed)
+    select = STRATEGIES["top_score" if strategy == "top_loss" else strategy]
     accuracy: list[float] = []
     for epoch in range(epochs):
         hidden, probs = forward(model, x)
@@ -266,9 +269,9 @@ def run_toy_experiment(
         feats = _EpochFeatures(hidden, probs, labels)
         losses = per_sample_loss(probs, labels)
         cfg = SelectionConfig(budget=budget, eps=eps, seed=(seed * 1_000_003 + epoch) % 2**63)
-        result = STRATEGIES["top_score" if strategy == "top_loss" else strategy](
-            feats, losses, cfg
-        )
+        result = select(feats, losses, cfg)
+        if len(result.indices) < budget:
+            result = pad_selection(result, feats, cfg)
         sel = result.indices
         _, grads = loss_and_gradients(model, x[sel], labels[sel])
         model = adam_step(model, grads)

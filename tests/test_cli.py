@@ -193,6 +193,13 @@ class TestSelect:
         argv = ["oracle-check", "--n", "4", "--d", "2", "--budget", "1", "--trials", "1"]
         assert main(argv + eps) == 3
 
+    def test_negative_exponent_eps_needs_equals(self, hand_features):
+        """argparse reads a bare "-1e-3" as an option, a usage error (2);
+        written "--eps=-1e-3" it is a value, and a negative eps exits 3."""
+        argv = ["select", "--features", hand_features, "--strategy", "divbs", "--budget", "2"]
+        assert main(argv + ["--eps", "-1e-3"]) == 2
+        assert main(argv + ["--eps=-1e-3"]) == 3
+
     @pytest.mark.parametrize("strategy", ["divbs", "greedy"])
     @pytest.mark.parametrize("scale", [1e-11, 1e160])
     def test_out_of_range_scale_data_error(self, tmp_path, strategy, scale):

@@ -19,8 +19,6 @@ from divbs.featfile import write_features_binary
 from divbs.linalg import FeatureMatrix
 from divbs.objective import representativeness
 from divbs.selectors import (
-    PAD_NONE,
-    PAD_UNIFORM,
     STRATEGIES,
     SelectionConfig,
     pad_selection,
@@ -73,7 +71,7 @@ def test_toy_run_never_evaluates_a_baseline_objective(calls, strategy):
 )
 def test_objective_evaluated_once_on_first_read(calls, select):
     fm = gaussian(30, 6, 70)
-    result = select(fm, SelectionConfig(budget=4, pad_policy=PAD_NONE, seed=3))
+    result = select(fm, SelectionConfig(budget=4, seed=3))
     assert calls == []
     first = result.objective
     assert result.objective is first
@@ -90,8 +88,8 @@ def test_objective_drops_features_once_read():
 
 def test_pad_selection_leaves_objective_unread(calls):
     fm = gaussian(20, 5, 72)
-    result = select_uniform(fm, SelectionConfig(budget=3, pad_policy=PAD_NONE, seed=4))
-    padded = pad_selection(result, fm, SelectionConfig(budget=8, pad_policy=PAD_UNIFORM, seed=4))
+    result = select_uniform(fm, SelectionConfig(budget=3, seed=4))
+    padded = pad_selection(result, fm, SelectionConfig(budget=8, seed=4))
     assert padded.padded == [False] * 3 + [True] * 5
     assert calls == []
     assert padded.objective is not None
@@ -100,8 +98,8 @@ def test_pad_selection_leaves_objective_unread(calls):
 
 def test_padded_baseline_objective_covers_unpadded_rows_only(calls):
     fm = gaussian(20, 5, 73)
-    result = select_kmeanspp(fm, SelectionConfig(budget=2, pad_policy=PAD_NONE, seed=5))
-    padded = pad_selection(result, fm, SelectionConfig(budget=6, pad_policy=PAD_UNIFORM, seed=5))
+    result = select_kmeanspp(fm, SelectionConfig(budget=2, seed=5))
+    padded = pad_selection(result, fm, SelectionConfig(budget=6, seed=5))
     assert calls == []
     kept = unpadded(padded)
     assert kept == result.indices and len(padded.indices) == 6
@@ -115,16 +113,18 @@ def test_padded_baseline_objective_covers_unpadded_rows_only(calls):
     n=st.integers(2, 24),
     d=st.integers(1, 12),
     budget=st.integers(1, 24),
-    pad=st.sampled_from([PAD_NONE, PAD_UNIFORM]),
+    pad=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_objective_is_representativeness_of_unpadded_picks(n, d, budget, pad, seed):
     rng = np.random.default_rng(seed)
     fm = FeatureMatrix(rng.standard_normal((n, d)))
     scores = rng.standard_normal(n)
-    cfg = SelectionConfig(budget=min(budget, n), pad_policy=pad, seed=seed)
+    cfg = SelectionConfig(budget=min(budget, n), seed=seed)
     for name, select in STRATEGIES.items():
         result = select(fm, scores, cfg)
+        if pad:
+            result = pad_selection(result, fm, cfg)
         ref = representativeness(fm, unpadded(result), cfg.eps)
         if name in KERNELS:
             assert result.objective.basis_size == ref.basis_size

@@ -1,8 +1,55 @@
+import math
+
 import numpy as np
 import pytest
 
 from divbs.errors import ContractViolationError
 from divbs.linalg import FeatureMatrix, OrthonormalBasis
+from divbs.metrics import diversity_report, selection_rank
+from divbs.objective import basis_of_subset, brute_force_optimum, representativeness
+from divbs.selectors import SelectionConfig, select_divbs, select_greedy
+
+DEPENDENT = FeatureMatrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+
+
+def _select_with_eps(select):
+    def run(eps):
+        cfg = SelectionConfig(budget=2)
+        cfg.eps = eps  # set after the config's own check
+        return select(DEPENDENT, cfg)
+
+    return run
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eps: OrthonormalBasis(2, eps),
+        lambda eps: representativeness(DEPENDENT, [0, 1], eps=eps),
+        lambda eps: basis_of_subset(DEPENDENT, [0, 1], eps=eps),
+        lambda eps: selection_rank(DEPENDENT, [0, 1], eps=eps),
+        lambda eps: diversity_report(DEPENDENT, [0, 1], [1], eps=eps),
+        lambda eps: brute_force_optimum(DEPENDENT, 2, eps=eps),
+        _select_with_eps(select_greedy),
+        _select_with_eps(select_divbs),
+    ],
+    ids=[
+        "basis",
+        "representativeness",
+        "basis_of_subset",
+        "selection_rank",
+        "diversity_report",
+        "brute_force_optimum",
+        "greedy",
+        "divbs",
+    ],
+)
+def test_every_eps_is_checked(call, eps):
+    """Every eps reaches an OrthonormalBasis, which refuses a NaN, infinite
+    or negative one instead of returning r=nan."""
+    with pytest.raises(ContractViolationError, match="eps"):
+        call(eps)
 
 
 class TestFeatureMatrix:

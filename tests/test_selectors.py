@@ -11,7 +11,6 @@ from divbs.linalg import FeatureMatrix, OrthonormalBasis
 from divbs.metrics import selection_rank
 from divbs.objective import basis_of_subset, representativeness
 from divbs.selectors import (
-    PAD_UNIFORM,
     SelectionConfig,
     SelectionResult,
     pad_selection,
@@ -45,6 +44,13 @@ class TestConfig:
     def test_rejects_unknown_pad_policy(self, pad):
         with pytest.raises(ContractViolationError, match="pad_policy"):
             SelectionConfig(budget=1, pad_policy=pad)
+
+    def test_pad_policy_takes_none_alone(self):
+        """Selectors never pad, so "none" is the keyword's only value; asking
+        for uniform padding points to pad_selection."""
+        assert SelectionConfig(budget=1, pad_policy="none") == SelectionConfig(budget=1)
+        with pytest.raises(ContractViolationError, match="pad_selection"):
+            SelectionConfig(budget=1, pad_policy="uniform")
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ContractViolationError, match="seed"):
@@ -261,17 +267,26 @@ class TestKmeanspp:
 
 
 class TestPadding:
+    @pytest.mark.parametrize("select", [select_greedy, select_divbs])
+    def test_short_selection_returned_unpadded(self, select):
+        """A selector that stops short returns only its own picks, even with
+        the default config: padding is the caller's step."""
+        fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
+        result = select(fm, SelectionConfig(budget=2))
+        assert len(result.indices) < 2
+        assert result.padded == [False] * len(result.indices)
+
     def test_full_selection_unchanged(self):
         fm = FeatureMatrix(np.eye(3))
-        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=5)
-        result = select_greedy(fm, c)
+        c = SelectionConfig(budget=2, seed=5)
+        result = pad_selection(select_greedy(fm, c), fm, c)
         assert len(result.indices) == 2
         assert result.padded == [False, False]
 
     def test_empty_selection_padded(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
         base = SelectionResult([], [], representativeness(fm, []), [], 0.0)
-        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=5)
+        c = SelectionConfig(budget=2, seed=5)
         padded = pad_selection(base, fm, c)
         assert len(padded.indices) == 2
         assert padded.padded == [True, True]
@@ -280,7 +295,7 @@ class TestPadding:
         rng = np.random.default_rng(6)
         fm = FeatureMatrix(rng.standard_normal((10, 2)))
         base = SelectionResult([1, 4], [False, False], representativeness(fm, [1, 4]), [], 0.0)
-        c = SelectionConfig(budget=7, pad_policy=PAD_UNIFORM, seed=8)
+        c = SelectionConfig(budget=7, seed=8)
         padded = pad_selection(base, fm, c)
         assert len(padded.indices) == 7
         assert len(set(padded.indices)) == 7
@@ -290,14 +305,14 @@ class TestPadding:
     def test_invalid_indices_rejected(self, bad):
         fm = FeatureMatrix(np.random.default_rng(7).standard_normal((20, 3)))
         base = SelectionResult(bad, [False] * len(bad), representativeness(fm, []), [], 0.0)
-        c = SelectionConfig(budget=3, pad_policy=PAD_UNIFORM, seed=5)
+        c = SelectionConfig(budget=3, seed=5)
         with pytest.raises(ContractViolationError):
             pad_selection(base, fm, c)
 
     def test_divbs_early_stop_pads_to_budget(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
-        c = SelectionConfig(budget=2, pad_policy=PAD_UNIFORM, seed=0)
-        result = select_divbs(fm, c)
+        c = SelectionConfig(budget=2, seed=0)
+        result = pad_selection(select_divbs(fm, c), fm, c)
         assert len(result.indices) == 2
 
 

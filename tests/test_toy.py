@@ -185,6 +185,16 @@ class TestExperiment:
         assert a.final_indices == b.final_indices
         assert a.accuracy == b.accuracy
 
+    def test_short_selection_padded_to_budget(self):
+        """At ratio 0.3 the budget (441 rows) exceeds the rank of the gradient
+        features, so divbs stops short and the toy pads its batch."""
+        rep = run_toy_experiment("divbs", 0.3, epochs=1, seed=0)
+        assert len(rep.final_indices) == 441
+        assert len(set(rep.final_indices)) == 441
+        kept = rep.final_padded.count(False)
+        assert 0 < kept < 441
+        assert rep.final_padded == [False] * kept + [True] * (441 - kept)
+
     @pytest.mark.parametrize("strategy", ["uniform", "top_loss", "greedy", "divbs", "kmeanspp"])
     def test_smoke_all_strategies(self, strategy):
         spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=15)
