@@ -93,19 +93,19 @@ def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
 
 
 def cmd_select(args) -> int:
-    if args.scores is not None and args.strategy != "top_score":
+    # bad flag combinations are refused before any file is read
+    if (args.scores is None) == (args.strategy == "top_score"):
+        if args.scores is None:
+            raise UsageError("--strategy top_score requires --scores")
         raise UsageError(f"--scores is read only by --strategy top_score, not {args.strategy}")
+    # unit rows suit only the two strategies that score directions
+    if args.normalize_features and args.strategy not in ("greedy", "divbs"):
+        raise ContractViolationError(f"{args.strategy} does not support normalize_features")
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
     cfg = SelectionConfig(budget=budget, eps=args.eps, seed=args.seed)
-    scores = None
-    if args.strategy == "top_score":
-        if args.scores is None:
-            raise UsageError("--strategy top_score requires --scores")
-        scores = _read_scores(args.scores)
-    if args.normalize_features:  # unit rows, for the two strategies that score directions
-        if args.strategy not in ("greedy", "divbs"):
-            raise ContractViolationError(f"{args.strategy} does not support normalize_features")
+    scores = None if args.scores is None else _read_scores(args.scores)
+    if args.normalize_features:
         norms = np.linalg.norm(features.values, axis=1)
         if np.any(norms == 0.0):
             raise ContractViolationError(f"cannot normalize zero feature row {np.argmin(norms)}")

@@ -13,9 +13,12 @@ whatever the BLAS thread split, from half the bytes per step; each divbs
 call holds an extra N x D float32 copy of the features (N D 4 bytes).
 Both raise ContractViolationError when no row clears the dependence floor
 eps * max(1, ||x||) or a squared norm overflows.  The remaining selectors
-are baselines: they leave their objective to be evaluated on first read
-(SelectionResult), so their wall_time excludes it.  k-means++ updates its
-distances through a certified screen (_DistanceScreen): one BLAS product
+are baselines: they hand SelectionResult the arguments of
+representativeness, evaluated on first read, so their wall_time excludes
+it.  SelectionConfig is frozen, so the checks it makes at construction
+hold for its whole life (dataclasses.replace derives a changed copy).
+k-means++ updates its distances through a certified screen
+(_DistanceScreen): one BLAS product
 per pick bounds every row's distance to the pick, and only the rows whose
 distance may drop are recomputed directly, so the distances keep the bits
 of a full recomputation whatever the BLAS thread split.  Every selector
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
 from .objective import ObjectiveValue, _check_subset, representativeness
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionConfig:
     budget: int
     eps: float = DEFAULT_EPS
@@ -65,48 +68,28 @@ class SelectionResult:
     unpadded picks (the rows whose padded flag is False).  A selector returns
     only its own picks, all unpadded; pad_selection appends the padded rows.
 
-    Greedy and divbs fill objective from their coefficients.  The baselines
-    defer it: the first read of result.objective evaluates representativeness
-    over the unpadded picks and stores the value in place of the deferred
-    object, dropping its reference to the features.  So the objective, and the
-    basis of the picks it builds, cost nothing until something reads them.
-    wall_time is the selector's own time, without a deferred objective;
-    pad_selection keeps it as it is.
+    The third argument, _objective, is the ObjectiveValue itself (greedy and
+    divbs, from their coefficients) or, for a baseline, the arguments
+    (features, picks, eps) of representativeness.  The first read of
+    result.objective evaluates such a tuple, through this module's global
+    representativeness, and stores the value in its place, dropping the
+    reference to the features.  So the objective, and the basis of the picks
+    it builds, cost nothing until something reads them; repr and == never
+    read it.  wall_time is the selector's own time, without a deferred
+    objective; pad_selection keeps it as it is.
     """
 
     indices: list[int]
     padded: list[bool]
-    objective: ObjectiveValue
+    _objective: ObjectiveValue | tuple = field(repr=False, compare=False)
     step_scores: list[float]
     wall_time: float
 
-
-class _DeferredObjective:
-    """The objective of a baseline's picks, for SelectionResult to evaluate on
-    first read.  It looks representativeness up in this module when called, so
-    a wrapper swapped in here sees the call.  A class, not a closure, so that
-    a result stays picklable."""
-
-    def __init__(self, features: FeatureMatrix, indices: list[int], cfg: SelectionConfig):
-        self.args = (features, indices, cfg.eps)
-
-    def __call__(self) -> ObjectiveValue:
-        return representativeness(*self.args)
-
-
-def _read_objective(result: SelectionResult) -> ObjectiveValue:
-    if isinstance(result._objective, _DeferredObjective):
-        result._objective = result._objective()
-    return result._objective
-
-
-def _write_objective(result: SelectionResult, value) -> None:
-    result._objective = value
-
-
-# Set after @dataclass, which would otherwise take the property for the field's
-# default; the generated __init__ stores through the setter.
-SelectionResult.objective = property(_read_objective, _write_objective)
+    @property
+    def objective(self) -> ObjectiveValue:
+        if isinstance(self._objective, tuple):
+            self._objective = representativeness(*self._objective)
+        return self._objective
 
 
 def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
@@ -120,7 +103,7 @@ def _finish(indices, scores, t0, objective) -> SelectionResult:
     return SelectionResult(
         indices=list(indices),
         padded=[False] * len(indices),
-        objective=objective,
+        _objective=objective,
         step_scores=[float(s) for s in scores],
         wall_time=time.perf_counter() - t0,
     )
@@ -435,7 +418,7 @@ def select_uniform(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRe
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     indices = rng.choice(features.n_rows, size=cfg.budget, replace=False).tolist()
-    return _finish(indices, [], t0, _DeferredObjective(features, indices, cfg))
+    return _finish(indices, [], t0, (features, indices, cfg.eps))
 
 
 def select_top_score(
@@ -460,7 +443,7 @@ def select_top_score(
     order = np.lexsort((np.arange(features.n_rows), -scores))
     indices = order[: cfg.budget].tolist()
     step_scores = [float(scores[i]) for i in indices]
-    return _finish(indices, step_scores, t0, _DeferredObjective(features, indices, cfg))
+    return _finish(indices, step_scores, t0, (features, indices, cfg.eps))
 
 
 def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -511,7 +494,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
         with np.errstate(over="ignore"):
             near = np.sum((X.take(rows, axis=0) - X[idx]) ** 2, axis=1)
         d2[rows] = np.minimum(d2[rows], near)
-    return _finish(indices, [], t0, _DeferredObjective(features, indices, cfg))
+    return _finish(indices, [], t0, (features, indices, cfg.eps))
 
 
 def pad_selection(
@@ -528,12 +511,10 @@ def pad_selection(
     # independent stream so padding never perturbs the selector's own draws
     rng = np.random.default_rng([cfg.seed, 0x9AD])
     extra = rng.choice(pool, size=missing, replace=False).tolist()
-    # objective passed through unread: replace would read every field it is not given
     return replace(
         result,
         indices=result.indices + [int(i) for i in extra],
         padded=result.padded + [True] * missing,
-        objective=result._objective,
     )
 
 

@@ -494,6 +494,28 @@ class TestBadInputExitCodes:
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + [f"--budget-ratio={ratio}"]) == 3
 
+    def test_budget_ratio_empty_budget(self, hand_features, capsys):
+        args = ["select", "--features", hand_features, "--strategy", "divbs"]
+        assert main(args + ["--budget-ratio=0.2"]) == 3
+        assert "yields an empty budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, code, message",
+        [
+            (["--strategy", "top_score"], 2, "--strategy top_score requires --scores"),
+            (["--strategy", "uniform", "--normalize-features"], 3, "uniform does not support"),
+            (["--strategy", "divbs", "--scores", "s.txt"], 2, "read only by --strategy top_score"),
+        ],
+        ids=["top-score-without-scores", "normalize-uniform", "scores-with-divbs"],
+    )
+    def test_flag_combination_refused_before_reading(self, tmp_path, capsys, extra, code, message):
+        """A bad flag combination is named even when the features file is
+        missing too: the flags are checked before any file is read."""
+        missing = str(tmp_path / "missing.bin")
+        assert main(["select", "--features", missing, "--budget", "2"] + extra) == code
+        err = capsys.readouterr().err
+        assert message in err and "missing.bin" not in err
+
     def test_label_outside_int32(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,3000000000\n")
@@ -561,6 +583,12 @@ class TestBadInputExitCodes:
         sel = tmp_path / "sel.json"
         sel.write_text("indices: [0, 1]\n")
         assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3
+
+    def test_metrics_selection_without_indices(self, twenty_rows, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"x": 1}))
+        assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3
+        assert "has no 'indices' key" in capsys.readouterr().err
 
 
 class TestMetricsIndexTypes:

@@ -10,6 +10,7 @@ from divbs.featfile import (
     read_features,
     read_features_binary,
     read_features_csv,
+    write_features,
     write_features_binary,
     write_features_csv,
 )
@@ -50,6 +51,21 @@ class TestBinaryFormat:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 17)
         with pytest.raises(LoadError, match="offset 0"):
+            read_features_binary(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (MAGIC + b"\x00" * 5, "truncated header at offset 13"),
+            (HEADER.pack(MAGIC, 1, 1, 2) + b"\x00" * 8, "invalid has_labels byte at offset 24"),
+            (HEADER.pack(MAGIC, 0, 3, 0), "invalid shape 0x3 in header"),
+        ],
+        ids=["truncated-header", "has-labels-2", "zero-rows"],
+    )
+    def test_bad_header(self, tmp_path, data, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(LoadError, match=message):
             read_features_binary(str(path))
 
     def test_truncated_payload(self, tmp_path):
@@ -122,6 +138,23 @@ class TestCsvFormat:
         with pytest.raises(LoadError, match="line 3"):
             read_features_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file at line 1$"),
+            ("label\n1\n", "no feature columns at line 1$"),
+            ("f0,f1\n1.0,2.0\n3.0\n", "expected 2 columns at line 3$"),
+            ("f0,label\n1.0,x\n", "bad label at line 2$"),
+            ("f0,f1\n\n", "no data rows$"),
+        ],
+        ids=["empty", "label-only", "short-row", "bad-label", "header-only"],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(LoadError, match=message):
+            read_features_csv(str(path))
+
     def test_non_finite_line_counts_blank_lines(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("f0,f1\n\n1.0,2.0\n\n\n3.0,4.0\n5.0,nan\n")
@@ -139,3 +172,32 @@ class TestSniffing:
         write_features_csv(fm, csv_path)
         np.testing.assert_array_equal(read_features(bin_path).values, fm.values)
         np.testing.assert_array_equal(read_features(csv_path).values, fm.values)
+
+
+class TestWriteFeatures:
+    FM = FeatureMatrix(np.array([[1.0, -2.5], [0.5, 3.0]]))
+
+    @pytest.mark.parametrize(
+        "name, fmt, binary",
+        [
+            ("m.csv", None, False),
+            ("m.CSV", None, False),
+            ("m.bin", None, True),
+            ("m", None, True),
+            ("m.csv", "binary", True),
+            ("m.bin", "csv", False),
+        ],
+    )
+    def test_format_from_suffix_or_fmt(self, tmp_path, name, fmt, binary):
+        path = tmp_path / name
+        write_features(self.FM, str(path), fmt)
+        assert path.read_bytes().startswith(MAGIC) == binary
+        if not binary:
+            assert path.read_text() == "f0,f1\n1.0,-2.5\n0.5,3.0\n"
+        np.testing.assert_array_equal(read_features(str(path)).values, self.FM.values)
+
+    def test_unknown_format_refused(self, tmp_path):
+        path = tmp_path / "m.parquet"
+        with pytest.raises(ValueError, match="unknown format 'parquet'"):
+            write_features(self.FM, str(path), "parquet")
+        assert not path.exists()

@@ -6,7 +6,9 @@ the unpadded picks once.  Greedy and divbs report the objective from their
 coefficients.  Either way the value is representativeness of the unpadded
 picks, in the library and in the CLI report.
 """
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import divbs.selectors as selectors
 from divbs.cli import main
 from divbs.featfile import write_features_binary
 from divbs.linalg import FeatureMatrix
-from divbs.objective import representativeness
+from divbs.objective import ObjectiveValue, representativeness
 from divbs.selectors import (
     STRATEGIES,
     SelectionConfig,
@@ -81,9 +83,34 @@ def test_objective_evaluated_once_on_first_read(calls, select):
 
 def test_objective_drops_features_once_read():
     result = select_uniform(gaussian(30, 6, 71), SelectionConfig(budget=4, seed=1))
-    assert callable(result._objective)
+    assert not isinstance(result._objective, ObjectiveValue)
     value = result.objective
     assert result._objective is value
+
+
+@pytest.mark.parametrize("select", [select_uniform, select_kmeanspp], ids=["uniform", "kmeanspp"])
+def test_repr_and_eq_leave_objective_unread(calls, select):
+    result = select(gaussian(30, 6, 75), SelectionConfig(budget=4, seed=2))
+    text = repr(result)
+    assert str(result.indices) in text and "objective" not in text
+    assert result == dataclasses.replace(result)
+    assert result != dataclasses.replace(result, indices=result.indices[::-1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("select", [select_uniform, select_kmeanspp], ids=["uniform", "kmeanspp"])
+def test_unread_objective_survives_pickle(calls, select):
+    fm = gaussian(30, 6, 76)
+    result = select(fm, SelectionConfig(budget=4, seed=6))
+    back = pickle.loads(pickle.dumps(result))
+    assert calls == []
+    assert (back.indices, back.padded, back.wall_time) == (
+        result.indices,
+        result.padded,
+        result.wall_time,
+    )
+    assert back.objective == representativeness(fm, result.indices)
+    assert len(calls) == 1
 
 
 def test_pad_selection_leaves_objective_unread(calls):

@@ -15,7 +15,8 @@ DEPENDENT = FeatureMatrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
 def _select_with_eps(select):
     def run(eps):
         cfg = SelectionConfig(budget=2)
-        cfg.eps = eps  # set after the config's own check
+        # set past the frozen config's own check
+        object.__setattr__(cfg, "eps", eps)
         return select(DEPENDENT, cfg)
 
     return run
@@ -50,6 +51,21 @@ def test_every_eps_is_checked(call, eps):
     or negative one instead of returning r=nan."""
     with pytest.raises(ContractViolationError, match="eps"):
         call(eps)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FeatureMatrix(np.ones(3)), "must be 2-D"),
+        (lambda: OrthonormalBasis(0), "basis dim must be >= 1"),
+        (lambda: OrthonormalBasis(2).residual(np.ones((2, 2, 2))), "expected a vector or rows"),
+        (lambda: OrthonormalBasis(2).extend(np.ones((2, 2))), "expected a 1-D vector"),
+    ],
+    ids=["values-1d", "basis-dim-0", "residual-3d", "extend-2d"],
+)
+def test_shape_contracts(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()
 
 
 class TestFeatureMatrix:

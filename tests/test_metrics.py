@@ -46,6 +46,11 @@ class TestKnnCosineDistance:
             ref = brute_force_knn(X, [3])
             assert got[3] == pytest.approx(ref[3], abs=1e-12)
 
+    def test_empty_selection_rejected(self):
+        fm = FeatureMatrix(np.eye(3))
+        with pytest.raises(ContractViolationError, match="selected index list is empty"):
+            knn_cosine_distance(fm, [], [1])
+
     def test_k_too_large(self):
         fm = FeatureMatrix(np.eye(3))
         with pytest.raises(ContractViolationError):
@@ -78,6 +83,9 @@ class TestGroupProportions:
     def test_permutation_invariance(self):
         labels = [0, 1, 0, 1, 2]
         assert group_proportions(labels, [0, 1, 4]) == group_proportions(labels, [4, 0, 1])
+
+    def test_empty_selection(self):
+        assert group_proportions(np.array([0, 1, 1]), []) == {}
 
     def test_missing_label(self):
         with pytest.raises(ContractViolationError):

@@ -6,6 +6,7 @@ import pytest
 from divbs.errors import ContractViolationError, EnumerationCapError
 from divbs.linalg import FeatureMatrix
 from divbs.objective import basis_of_subset, brute_force_optimum, representativeness
+from divbs.selectors import SelectionConfig, select_divbs, select_greedy
 
 
 def random_rotation(k, rng):
@@ -133,6 +134,25 @@ class TestObjectiveProperties:
         )
         assert single >= gamma * joint
 
+    def test_greedy_below_one_minus_inverse_e(self):
+        # Exact greedy has no 1 - 1/e guarantee here: weak submodularity
+        # yields only 1 - e^(-gamma) (Das & Kempe 2011).  The batch sum
+        # (0, -1, 1) nearly cancels; row 1 is best aligned with it alone, and
+        # no second row recovers the span of rows 0 and 2.
+        fm = FeatureMatrix(np.array([[3.0, -3.0, -1.0], [-1.0, 0.0, -1.0], [-2.0, 2.0, 3.0]]))
+        subset, opt = brute_force_optimum(fm, 2)
+        assert subset == (0, 2)
+        assert opt.r == pytest.approx(math.sqrt(3), rel=1e-12)
+        greedy = select_greedy(fm, SelectionConfig(budget=2))
+        assert greedy.indices == [1, 0]
+        assert greedy.objective.r == pytest.approx(1.0571882797418486, rel=1e-12)
+        ratio = greedy.objective.r / opt.r
+        assert ratio == pytest.approx(0.6104, abs=1e-4)
+        assert ratio < 1.0 - math.exp(-1.0)
+        divbs = select_divbs(fm, SelectionConfig(budget=2))
+        assert divbs.indices == [0, 2]
+        assert divbs.objective.r == pytest.approx(math.sqrt(3), rel=1e-12)
+
     def test_scaling(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((6, 4))
@@ -157,6 +177,10 @@ class TestBruteForce:
         _, obj = brute_force_optimum(fm, 3)
         expected = math.sqrt(2) * np.linalg.norm(fm.values.sum(axis=0))
         assert obj.r == pytest.approx(expected, rel=1e-12)
+
+    def test_budget_below_one_refused(self):
+        with pytest.raises(ContractViolationError, match="budget must be >= 1, got 0"):
+            brute_force_optimum(FeatureMatrix(np.eye(3)), 0)
 
     def test_cap_refusal(self):
         """30 rows at budget 15 is over 10^8 subsets, past the default cap."""

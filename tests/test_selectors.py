@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ContractViolationError, match="seed"):
             SelectionConfig(budget=1, seed=-1)
+
+    def test_rejects_budget_below_one(self):
+        with pytest.raises(ContractViolationError, match="budget must be >= 1, got 0"):
+            SelectionConfig(budget=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SelectionConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        """A config stays as its checks left it; dataclasses.replace makes a
+        checked copy instead."""
+        config = SelectionConfig(budget=2, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, 0)
+        assert config == SelectionConfig(budget=2, seed=1)
+        assert dataclasses.replace(config, seed=5) == SelectionConfig(budget=2, seed=5)
+        with pytest.raises(ContractViolationError, match="budget"):
+            dataclasses.replace(config, budget=0)
 
 
 class TestScaleContract:

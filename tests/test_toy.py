@@ -163,6 +163,13 @@ class TestAdam:
         for n in MlpState.PARAMS:
             np.testing.assert_array_equal(getattr(a, n), getattr(b, n))
 
+    def test_rejects_misshaped_gradient(self):
+        model = init_mlp(seed=13)
+        grads = {n: np.zeros_like(getattr(model, n)) for n in MlpState.PARAMS}
+        grads["b2"] = np.zeros(grads["b2"].size + 1)
+        with pytest.raises(ContractViolationError, match="gradient shape mismatch for b2"):
+            adam_step(model, grads)
+
 
 class TestExperiment:
     def test_full_budget_matches_full_batch_training(self):
@@ -231,6 +238,20 @@ class TestSingleForwardPass:
         got = last_layer_gradient_features(model, x, y).values
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "strategy, ratio, message",
+        [
+            ("nope", 0.2, "unknown strategy 'nope'"),
+            ("uniform", 0.0, r"budget_ratio must be in \(0, 1\], got 0.0"),
+            ("uniform", 1.5, r"budget_ratio must be in \(0, 1\], got 1.5"),
+        ],
+        ids=["unknown-strategy", "ratio-0", "ratio-1.5"],
+    )
+    def test_rejects_bad_arguments(self, strategy, ratio, message):
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
+        with pytest.raises(ContractViolationError, match=message):
+            run_toy_experiment(strategy, ratio, epochs=1, seed=18, dataset=spec)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_rejects_fewer_than_one_epoch(self, epochs):
