@@ -21,17 +21,11 @@ from .featfile import atomic_write_text, read_features
 from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
 from .metrics import diversity_report
 from .objective import brute_force_optimum
-from .selectors import (
-    STRATEGIES,
-    SelectionConfig,
-    SelectionResult,
-    pad_selection,
-    select_divbs,
-    select_greedy,
-)
+from .selectors import STRATEGIES, SelectionConfig, SelectionResult, pad_selection
 from .toy import TOY_STRATEGIES, run_toy_experiment
 
 GREEDY_BOUND = 1.0 - math.exp(-1.0)
+KERNELS = ("greedy", "divbs")  # the two selectors oracle-check and bench compare
 PAD_NONE = "none"
 PAD_UNIFORM = "uniform"
 
@@ -70,13 +64,18 @@ def _resolve_budget(args, n_rows: int) -> int:
     return budget
 
 
-def _check_synthetic_args(args):
-    """Reject oracle-check and bench sizes below 1 and negative seeds."""
+def _gaussian_batches(args):
+    """The trials of oracle-check and bench: args.trials standard normal
+    n x d batches drawn, one per trial, from a generator seeded with
+    args.seed.  Sizes below 1 and a negative seed are refused at the call,
+    before any batch is drawn."""
     for name in ("n", "d", "trials"):
         if getattr(args, name) < 1:
             raise ContractViolationError(f"{name} must be >= 1, got {getattr(args, name)}")
     if args.seed < 0:
         raise ContractViolationError(f"seed must be >= 0, got {args.seed}")
+    rng = np.random.default_rng(args.seed)
+    return (FeatureMatrix(rng.standard_normal((args.n, args.d))) for _ in range(args.trials))
 
 
 def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
@@ -99,7 +98,7 @@ def cmd_select(args) -> int:
             raise UsageError("--strategy top_score requires --scores")
         raise UsageError(f"--scores is read only by --strategy top_score, not {args.strategy}")
     # unit rows suit only the two strategies that score directions
-    if args.normalize_features and args.strategy not in ("greedy", "divbs"):
+    if args.normalize_features and args.strategy not in KERNELS:
         raise ContractViolationError(f"{args.strategy} does not support normalize_features")
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
@@ -126,18 +125,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _check_synthetic_args(args)
-    rng = np.random.default_rng(args.seed)
-    greedy_ratios = []
-    divbs_ratios = []
-    for _ in range(args.trials):
-        features = FeatureMatrix(rng.standard_normal((args.n, args.d)))
+    ratios = {name: [] for name in KERNELS}
+    for features in _gaussian_batches(args):
         _, opt = brute_force_optimum(features, args.budget, eps=args.eps)
         cfg = SelectionConfig(budget=args.budget, eps=args.eps)
-        g = select_greedy(features, cfg).objective.r
-        a = select_divbs(features, cfg).objective.r
-        greedy_ratios.append(g / opt.r)
-        divbs_ratios.append(a / opt.r)
+        for name in KERNELS:
+            ratios[name].append(STRATEGIES[name](features, None, cfg).objective.r / opt.r)
     report = {
         "n": args.n,
         "d": args.d,
@@ -145,11 +138,10 @@ def cmd_oracle_check(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "bound": GREEDY_BOUND,
-        "greedy_ratio_min": min(greedy_ratios),
-        "greedy_ratio_median": statistics.median(greedy_ratios),
-        "divbs_ratio_min": min(divbs_ratios),
-        "divbs_ratio_median": statistics.median(divbs_ratios),
     }
+    for name, values in ratios.items():
+        report[f"{name}_ratio_min"] = min(values)
+        report[f"{name}_ratio_median"] = statistics.median(values)
     _emit(report, args.out)
     if report["greedy_ratio_min"] < GREEDY_BOUND - 1e-9:
         return 1
@@ -182,34 +174,23 @@ def _svg_scatter(points: np.ndarray, labels: np.ndarray, selected: np.ndarray) -
     size = 640
     margin = 30.0
     lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
+    span = np.maximum(points.max(axis=0) - lo, 1e-12)
     scale = (size - 2 * margin) / span
-
-    def sx(x):
-        return margin + (x - lo[0]) * scale[0]
-
-    def sy(y):
-        return size - margin - (y - lo[1]) * scale[1]
-
+    cx = margin + (points[:, 0] - lo[0]) * scale[0]
+    cy = size - margin - (points[:, 1] - lo[1]) * scale[1]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
+    styles = {False: (2, 'fill-opacity="0.35"'), True: (4, 'stroke="black" stroke-width="1.2"')}
     order = np.argsort(selected, kind="stable")  # draw selected on top
-    for i in order:
-        color = palette[int(labels[i]) % len(palette)]
-        if selected[i]:
-            parts.append(
-                f'<circle cx="{sx(points[i, 0]):.2f}" cy="{sy(points[i, 1]):.2f}" '
-                f'r="4" fill="{color}" stroke="black" stroke-width="1.2"/>'
-            )
-        else:
-            parts.append(
-                f'<circle cx="{sx(points[i, 0]):.2f}" cy="{sy(points[i, 1]):.2f}" '
-                f'r="2" fill="{color}" fill-opacity="0.35"/>'
-            )
+    for x, y, label, chosen in zip(*(a[order].tolist() for a in (cx, cy, labels, selected))):
+        radius, style = styles[chosen]
+        parts.append(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+            f'fill="{palette[label % len(palette)]}" {style}/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -224,12 +205,12 @@ def cmd_toy(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     _emit(report.to_json_dict(), os.path.join(args.out_dir, "toy_report.json"))
-    rows = ["x,y,label,selected"]
-    for i in range(report.points.shape[0]):
-        rows.append(
-            f"{report.points[i, 0]!r},{report.points[i, 1]!r},"
-            f"{int(report.labels[i])},{int(report.selected_mask[i])}"
+    rows = ["x,y,label,selected"] + [
+        f"{x!r},{y!r},{label},{int(chosen)}"
+        for (x, y), label, chosen in zip(
+            report.points.tolist(), report.labels.tolist(), report.selected_mask.tolist()
         )
+    ]
     atomic_write_text(os.path.join(args.out_dir, "toy_scatter.csv"), "\n".join(rows) + "\n")
     atomic_write_text(
         os.path.join(args.out_dir, "toy_scatter.svg"),
@@ -239,34 +220,20 @@ def cmd_toy(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_synthetic_args(args)
-    rng = np.random.default_rng(args.seed)
-    greedy_times = []
-    divbs_times = []
+    batches = _gaussian_batches(args)
     cfg = SelectionConfig(budget=args.budget, eps=args.eps)
-    for _ in range(args.trials):
-        features = FeatureMatrix(rng.standard_normal((args.n, args.d)))
-        t0 = time.perf_counter()
-        select_greedy(features, cfg)
-        greedy_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        select_divbs(features, cfg)
-        divbs_times.append(time.perf_counter() - t0)
-    g_mean = statistics.fmean(greedy_times)
-    a_mean = statistics.fmean(divbs_times)
-    report = {
-        "n": args.n,
-        "d": args.d,
-        "budget": args.budget,
-        "trials": args.trials,
-        "greedy_mean_seconds": g_mean,
-        "greedy_median_seconds": statistics.median(greedy_times),
-        "greedy_std_seconds": statistics.pstdev(greedy_times),
-        "divbs_mean_seconds": a_mean,
-        "divbs_median_seconds": statistics.median(divbs_times),
-        "divbs_std_seconds": statistics.pstdev(divbs_times),
-        "speedup": g_mean / a_mean,
-    }
+    times = {name: [] for name in KERNELS}
+    for features in batches:
+        for name in KERNELS:
+            t0 = time.perf_counter()
+            STRATEGIES[name](features, None, cfg)
+            times[name].append(time.perf_counter() - t0)
+    report = {"n": args.n, "d": args.d, "budget": args.budget, "trials": args.trials}
+    for name, values in times.items():
+        report[f"{name}_mean_seconds"] = statistics.fmean(values)
+        report[f"{name}_median_seconds"] = statistics.median(values)
+        report[f"{name}_std_seconds"] = statistics.pstdev(values)
+    report["speedup"] = report["greedy_mean_seconds"] / report["divbs_mean_seconds"]
     _emit(report, args.out)
     return 0
 

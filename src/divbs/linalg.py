@@ -29,7 +29,8 @@ class FeatureMatrix:
 
     values is row-major float64, one feature vector per row.  row_labels,
     when present, assigns an integer group/class id to each row; it is
-    stored as int32, and a label outside that range is refused.
+    stored as int32, and a label outside that range, or one that is not a
+    whole number, is refused.
     """
 
     values: np.ndarray
@@ -56,6 +57,9 @@ class FeatureMatrix:
                     raise ContractViolationError(
                         f"row_labels must fit in int32, got values in [{lo}, {hi}]"
                     )
+                # and would truncate a fractional one silently
+                if labels.dtype.kind == "f" and not (labels == np.trunc(labels)).all():
+                    raise ContractViolationError("row_labels must be whole numbers")
             self.row_labels = np.ascontiguousarray(labels, dtype=np.int32)
             if self.row_labels.shape != (n,):
                 raise ContractViolationError(

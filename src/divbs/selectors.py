@@ -53,6 +53,11 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self, pad_policy):
+        for name in ("budget", "seed"):
+            value = getattr(self, name)
+            # as in _check_subset: numpy integers pass, a bool does not
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ContractViolationError(f"budget must be >= 1, got {self.budget}")
         check_eps(self.eps)
@@ -502,7 +507,9 @@ def pad_selection(
 ) -> SelectionResult:
     """Fill a short selection of distinct row indices to cfg.budget with
     seeded uniform draws from the other rows, flagged padded; a full selection
-    is returned as it is.  The objective and wall_time are passed through."""
+    is returned as it is.  A budget above the row count is refused, as the
+    selectors refuse it.  The objective and wall_time are passed through."""
+    _check_budget(features, cfg)
     _check_subset(features.n_rows, result.indices)
     missing = cfg.budget - len(result.indices)
     if missing <= 0:

@@ -1,14 +1,17 @@
+import csv
 import json
 import os
+import re
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from divbs.cli import main
+from divbs.cli import _svg_scatter, main
 from divbs.featfile import write_features_binary, write_features_csv
 from divbs.linalg import FeatureMatrix
+from divbs.toy import run_toy_experiment
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +430,37 @@ class TestToy:
         assert len(csv_text.strip().splitlines()) == 1471
         svg_text = open(os.path.join(out_dir, "toy_scatter.svg")).read()
         assert svg_text.startswith("<svg") and svg_text.rstrip().endswith("</svg>")
+
+    def test_scatter_csv_rows_parse_to_the_report(self, tmp_path):
+        """Every data row of toy_scatter.csv reads back, with csv and float/int,
+        to the run's points (bit for bit), labels and selected flags."""
+        out_dir = str(tmp_path / "toy")
+        argv = ["toy", "--strategy", "uniform", "--epochs", "1", "--seed", "3"]
+        assert main(argv + ["--out-dir", out_dir]) == 0
+        report = run_toy_experiment(strategy="uniform", budget_ratio=0.1, epochs=1, seed=3)
+        with open(os.path.join(out_dir, "toy_scatter.csv"), newline="") as f:
+            reader = csv.reader(f)
+            assert next(reader) == ["x", "y", "label", "selected"]
+            rows = [(float(x), float(y), int(label), int(sel)) for x, y, label, sel in reader]
+        assert [(x.hex(), y.hex()) for x, y, _, _ in rows] == [
+            (x.hex(), y.hex()) for x, y in report.points.tolist()
+        ]
+        assert [row[2] for row in rows] == report.labels.tolist()
+        assert [row[3] for row in rows] == report.selected_mask.astype(int).tolist()
+
+    def test_svg_scatter_draws_each_point_once(self):
+        """One circle per point at margin + (x - lo) * scale and
+        size - margin - (y - lo) * scale, the selected ones last and larger."""
+        points = np.array([[0.0, 0.0], [2.0, 1.0], [0.5, 4.0]])
+        labels = np.array([0, 1, 2], dtype=np.int32)
+        svg = _svg_scatter(points, labels, np.array([False, True, False]))
+        circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="(\d)" fill="([^"]+)"', svg)
+        assert circles == [
+            ("30.00", "610.00", "2", "#d62728"),
+            ("175.00", "30.00", "2", "#2ca02c"),
+            ("610.00", "465.00", "4", "#1f77b4"),
+        ]
+        assert svg.count('stroke="black"') == 1 and svg.count('fill-opacity="0.35"') == 2
 
     def test_reproducible_accuracy(self, tmp_path):
         reports = []

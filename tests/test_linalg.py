@@ -84,6 +84,16 @@ class TestFeatureMatrix:
         with pytest.raises(ContractViolationError, match="int32"):
             FeatureMatrix(np.ones((2, 2)), row_labels=labels)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.0], np.array([0.0, 1.0, -2.25])])
+    def test_fractional_label_rejected(self, labels):
+        """The int32 cast would truncate a fractional label silently."""
+        with pytest.raises(ContractViolationError, match="whole numbers"):
+            FeatureMatrix(np.ones((3, 2)), row_labels=labels)
+
+    def test_whole_float_labels_kept(self):
+        labels = FeatureMatrix(np.ones((3, 2)), row_labels=[0.0, -3.0, 2.0]).row_labels
+        assert labels.dtype == np.int32 and labels.tolist() == [0, -3, 2]
+
     def test_int32_extremes_kept(self):
         labels = [-(2**31), 2**31 - 1]
         assert FeatureMatrix(np.ones((2, 2)), row_labels=labels).row_labels.tolist() == labels

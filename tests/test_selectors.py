@@ -61,6 +61,30 @@ class TestConfig:
         with pytest.raises(ContractViolationError, match="budget must be >= 1, got 0"):
             SelectionConfig(budget=0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"budget": 2.5},
+            {"budget": True},
+            {"budget": np.float64(3.0)},
+            {"budget": 2, "seed": 1.5},
+            {"budget": 2, "seed": True},
+        ],
+        ids=["budget-2.5", "budget-True", "budget-float64", "seed-1.5", "seed-True"],
+    )
+    def test_rejects_non_integer_budget_or_seed(self, kw):
+        """A float budget would make greedy, divbs and k-means++ pick
+        ceil(budget) rows, and True would count as 1."""
+        name = "seed" if "seed" in kw else "budget"
+        with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+            SelectionConfig(**kw)
+
+    def test_accepts_numpy_integers(self):
+        fm = FeatureMatrix(np.eye(4))
+        config = SelectionConfig(budget=np.int64(2), seed=np.int32(3))
+        expected = select_uniform(fm, SelectionConfig(budget=2, seed=3)).indices
+        assert select_uniform(fm, config).indices == expected
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SelectionConfig)])
     def test_fields_cannot_be_assigned(self, name):
         """A config stays as its checks left it; dataclasses.replace makes a
@@ -325,6 +349,12 @@ class TestPadding:
         c = SelectionConfig(budget=3, seed=5)
         with pytest.raises(ContractViolationError):
             pad_selection(base, fm, c)
+
+    def test_budget_above_rows_rejected(self):
+        fm = FeatureMatrix(np.eye(3))
+        result = select_greedy(fm, SelectionConfig(budget=2))
+        with pytest.raises(ContractViolationError, match="budget 4 exceeds the 3 available rows"):
+            pad_selection(result, fm, SelectionConfig(budget=4))
 
     def test_divbs_early_stop_pads_to_budget(self):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
