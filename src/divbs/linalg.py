@@ -29,8 +29,10 @@ class FeatureMatrix:
 
     values is row-major float64, one feature vector per row.  row_labels,
     when present, assigns an integer group/class id to each row; it is
-    stored as int32, and a label outside that range, or one that is not a
-    whole number, is refused.
+    stored as C-contiguous int32.  Integer and float labels are kept only if
+    the int32 cast leaves every one of them unchanged, so a fractional,
+    non-finite or out-of-range label is refused instead of being cut.  Labels
+    of any other dtype (bool, text, object) are refused.
     """
 
     values: np.ndarray
@@ -49,18 +51,15 @@ class FeatureMatrix:
             raise ContractViolationError("feature values contain NaN or Inf")
         if self.row_labels is not None:
             labels = np.asarray(self.row_labels)
-            int32 = np.iinfo(np.int32)
-            # the cast below would wrap an out-of-range label silently
-            if labels.size and labels.dtype.kind in "iuf":
-                lo, hi = labels.min(), labels.max()
-                if not (int32.min <= lo and hi <= int32.max):
-                    raise ContractViolationError(
-                        f"row_labels must fit in int32, got values in [{lo}, {hi}]"
-                    )
-                # and would truncate a fractional one silently
-                if labels.dtype.kind == "f" and not (labels == np.trunc(labels)).all():
-                    raise ContractViolationError("row_labels must be whole numbers")
-            self.row_labels = np.ascontiguousarray(labels, dtype=np.int32)
+            cast = None
+            if labels.dtype.kind in "iuf":
+                with np.errstate(invalid="ignore"):  # NaN, Inf, beyond int32
+                    cast = labels.astype(np.int32, order="C", copy=False)
+            if cast is None or not (cast == labels).all():
+                raise ContractViolationError(
+                    f"row_labels must be whole numbers that fit in int32, got dtype {labels.dtype}"
+                )
+            self.row_labels = cast
             if self.row_labels.shape != (n,):
                 raise ContractViolationError(
                     f"row_labels length {self.row_labels.shape} does not match {n} rows"
@@ -112,23 +111,16 @@ class OrthonormalBasis:
         r = np.array(v, dtype=np.float64)
         if r.ndim not in (1, 2):
             raise ContractViolationError(f"expected a vector or rows, got shape {r.shape}")
-        self._check_length(r.shape[-1])
-        self._deflate(r.T)
-        return r
-
-    def _check_length(self, length: int):
-        if length != self.dim:
+        if r.shape[-1] != self.dim:
             raise ContractViolationError(
-                f"vector length {length} does not match basis dim {self.dim}"
+                f"vector length {r.shape[-1]} does not match basis dim {self.dim}"
             )
-
-    def _deflate(self, rt: np.ndarray):
-        """Subtract, in place and in two sweeps, the projection of the columns
-        of rt (one vector, or the transpose of a row stack) onto the span."""
         if self._size:
             E = self._store[: self._size]
+            rt = r.T  # a view: one vector, or the columns of a row stack
             rt -= E.T @ (E @ rt)
             rt -= E.T @ (E @ rt)
+        return r
 
     def _append(self, e: np.ndarray):
         if self._size == self._store.shape[0]:
@@ -141,15 +133,15 @@ class OrthonormalBasis:
         self._size += 1
 
     def extend(self, v) -> np.ndarray | None:
-        """Append the normalized residual of v, or return None if dependent."""
+        """Append the normalized residual of v and return it, or return None
+        when v is dependent: its residual norm is <= eps * max(1, ||v||), or
+        the basis already spans every dimension."""
         if self._size >= self.dim:
             return None
         vv = np.asarray(v, dtype=np.float64)
         if vv.ndim != 1:
             raise ContractViolationError(f"expected a 1-D vector, got shape {vv.shape}")
-        self._check_length(vv.shape[0])
-        r = vv.copy()
-        self._deflate(r)
+        r = self.residual(vv)
         # sqrt(r . r) is how np.linalg.norm computes a real 1-D norm, bit for bit
         norm = math.sqrt(float(r.dot(r)))
         if norm <= self.eps * max(1.0, math.sqrt(float(vv.dot(vv)))):

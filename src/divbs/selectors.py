@@ -81,14 +81,15 @@ class SelectionResult:
     reference to the features.  So the objective, and the basis of the picks
     it builds, cost nothing until something reads them; repr and == never
     read it.  wall_time is the selector's own time, without a deferred
-    objective; pad_selection keeps it as it is.
+    objective; pad_selection keeps it as it is.  == compares neither, so two
+    results of the same selection compare equal.
     """
 
     indices: list[int]
     padded: list[bool]
     _objective: ObjectiveValue | tuple = field(repr=False, compare=False)
     step_scores: list[float]
-    wall_time: float
+    wall_time: float = field(compare=False)
 
     @property
     def objective(self) -> ObjectiveValue:
@@ -445,7 +446,7 @@ def select_top_score(
         )
     if not np.isfinite(scores).all():
         raise ContractViolationError("scores contain NaN or Inf")
-    order = np.lexsort((np.arange(features.n_rows), -scores))
+    order = np.argsort(-scores, kind="stable")
     indices = order[: cfg.budget].tolist()
     step_scores = [float(scores[i]) for i in indices]
     return _finish(indices, step_scores, t0, (features, indices, cfg.eps))

@@ -234,10 +234,47 @@ def rounding_rows():
     return X, np.array([above_midpoint(4981)])
 
 
+def opposed_rows():
+    """Two D = 2 rows, one per coordinate, whose float32 errors push in
+    opposite directions.  Row 0's entry and running[0] sit just above a
+    float32 rounding midpoint, and so does the product of their float32
+    values (2113 * 1985 = 2^22 + 1 in the last places): its score rounds up
+    three times.  Row 1's entry, running[1] and product (2045 * 2051 =
+    2^22 - 9) sit just below one and round down three times.  Zeros make
+    the float32 score a single rounded product, whatever the BLAS."""
+    ulp, off = 2.0**-23, 2.0**-24 * (1.0 - 2.0**-20)
+    X = np.array([[1.0 + 2113 * ulp - off, 0.0], [0.0, 1.0 + 2045 * ulp + off]])
+    return X, np.array([1.0 + 1985 * ulp - off, 1.0 + 2051 * ulp + off])
+
+
+def underflow_rows():
+    """Two rows whose float32 entries and products are subnormal, beside a
+    unit row that scores 0 and keeps sx = 1.  Row 0's entry rounds up and
+    row 1's rounds down, both to 513 subnormal units; the products with
+    r32 then round to 257 and 256 units.  So float32 puts row 0 first by
+    one unit, ~1e4 times both rows' relative bounds kx_i nrs, although
+    row 1 wins exactly: only the underflow term a32 covers it."""
+    unit = 2.0**-149  # the smallest float32 subnormal
+    X = np.array(
+        [
+            [(512.5 + 2.0**-10) * unit, 0.0, 0.0],
+            [0.0, (513.5 - 2.0**-10) * unit, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    return X, np.array([256.6 / 256.5, 256.4 / 256.5, 0.0])
+
+
 @pytest.mark.parametrize(
     "X,running",
-    [cancellation_rows(1.0), cancellation_rows(2.0**100), rounding_rows()],
-    ids=["cancellation", "cancellation-2^100", "rounding"],
+    [
+        cancellation_rows(1.0),
+        cancellation_rows(2.0**100),
+        rounding_rows(),
+        opposed_rows(),
+        underflow_rows(),
+    ],
+    ids=["cancellation", "cancellation-2^100", "rounding", "opposed", "underflow"],
 )
 def test_screen_bound_encloses_scores(X, running):
     """|s_i - scale |x_i . running|| <= bound_i, for the exact score (rational
@@ -250,6 +287,28 @@ def test_screen_bound_encloses_scores(X, running):
         assert abs(Fraction(float(si)) - Fraction(scale) * e) <= Fraction(b)
     evaluated = np.abs((X * running).sum(axis=1))
     assert np.all(np.abs(s - scale * evaluated) <= bound)
+
+
+def test_best_rescores_a_winner_that_float32_puts_below_the_leader():
+    """Row 1 wins exactly, yet its float32 score trails row 0's by more than
+    row 1's own bound: only with the leader's bound kx_lead nrs in the
+    window's floor is row 1 re-scored and picked."""
+    X, running = opposed_rows()
+    screen = screen_of(X)
+    s, nrs, a, _ = screen.scores(running)
+    assert float(s[0]) - float(s[1]) > screen.kx[1] * nrs + 2.0 * a
+    exact = [abs(sum(Fraction(x) * Fraction(r) for x, r in zip(row, running))) for row in X]
+    assert exact[1] > exact[0]
+    assert screen.best(running) == (1, float(abs(X[1] @ running)))
+
+
+def test_best_rescores_a_winner_whose_float32_score_underflows():
+    """On a platform that flushes float32 subnormals to zero the two rows
+    tie in float32 instead, and only the pick is checked."""
+    X, running = underflow_rows()
+    exact = [abs(sum(Fraction(x) * Fraction(r) for x, r in zip(row, running))) for row in X]
+    assert max(range(3), key=exact.__getitem__) == 1
+    assert screen_of(X).best(running) == (1, float(abs(X[1] @ running)))
 
 
 _PICKS = """

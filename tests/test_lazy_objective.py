@@ -98,6 +98,20 @@ def test_repr_and_eq_leave_objective_unread(calls, select):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "select",
+    [select_uniform, select_kmeanspp, lambda f, c: select_top_score(f, None, c)],
+    ids=["uniform", "kmeanspp", "grad_norm"],
+)
+def test_eq_means_the_same_selection(calls, select):
+    """== compares what was selected, not how long it took."""
+    fm = gaussian(30, 6, 77)
+    first, second = (select(fm, SelectionConfig(budget=4, seed=5)) for _ in range(2))
+    assert first == second
+    assert first == dataclasses.replace(first, wall_time=first.wall_time + 1.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("select", [select_uniform, select_kmeanspp], ids=["uniform", "kmeanspp"])
 def test_unread_objective_survives_pickle(calls, select):
     fm = gaussian(30, 6, 76)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,36 @@ class TestFeatureMatrix:
         with pytest.raises(ContractViolationError, match="whole numbers"):
             FeatureMatrix(np.ones((3, 2)), row_labels=labels)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["1", "2"],
+            [True, False],
+            ["a", "b"],
+            [None, 1],
+            np.array([2**31, 0], dtype=np.int64),
+            np.array([2**40, 0], dtype=np.uint64),
+        ],
+        ids=["numeric-text", "bool", "text", "object", "int64-2^31", "uint64-2^40"],
+    )
+    def test_label_changed_by_the_int32_cast_rejected(self, labels):
+        """Text is not parsed, a bool is not a class id, and a wide integer
+        would wrap: only labels that the int32 cast keeps are stored."""
+        with pytest.raises(ContractViolationError, match="whole numbers.*int32"):
+            FeatureMatrix(np.ones((2, 2)), row_labels=labels)
+
+    def test_float16_labels_kept_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fm = FeatureMatrix(np.ones((3, 2)), row_labels=np.array([0, -3, 2], np.float16))
+        assert fm.row_labels.dtype == np.int32 and fm.row_labels.tolist() == [0, -3, 2]
+
+    def test_contiguous_int32_labels_not_copied(self):
+        labels = np.array([4, 1], dtype=np.int32)
+        assert FeatureMatrix(np.ones((2, 2)), row_labels=labels).row_labels is labels
+        strided = FeatureMatrix(np.ones((2, 2)), row_labels=np.arange(4, dtype=np.int32)[::2])
+        assert strided.row_labels.flags.c_contiguous and strided.row_labels.tolist() == [0, 2]
+
     def test_whole_float_labels_kept(self):
         labels = FeatureMatrix(np.ones((3, 2)), row_labels=[0.0, -3.0, 2.0]).row_labels
         assert labels.dtype == np.int32 and labels.tolist() == [0, -3, 2]
@@ -125,9 +156,11 @@ class TestResidual:
         assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(v)
 
     def test_length_mismatch(self):
-        basis = OrthonormalBasis(3)
-        with pytest.raises(ContractViolationError):
-            basis.residual([1.0, 2.0])
+        """extend checks the length through residual, with the same message."""
+        for call in (OrthonormalBasis(3).residual, OrthonormalBasis(3).extend):
+            with pytest.raises(ContractViolationError) as refused:
+                call([1.0, 2.0])
+            assert str(refused.value) == "vector length 2 does not match basis dim 3"
 
 
 class TestExtendBasis:

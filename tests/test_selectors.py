@@ -262,6 +262,12 @@ class TestTopScore:
         result = select_top_score(fm, [1.0, 1.0, 1.0], cfg(2))
         assert result.indices == [0, 1]
 
+    def test_signed_zeros_tie(self):
+        """-0.0 and 0.0 are equal scores: the lower index goes first."""
+        fm = FeatureMatrix(np.ones((4, 2)))
+        result = select_top_score(fm, [-0.0, 1.0, 0.0, -0.0], cfg(3))
+        assert result.indices == [1, 0, 2]
+
     def test_grad_norm_mode(self):
         fm = FeatureMatrix(np.array([[3.0, 0.0], [1.0, 1.0]]))
         result = select_top_score(fm, None, cfg(1))
