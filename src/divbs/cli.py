@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError, LoadError
-from .featfile import atomic_write_text, read_features
+from .featfile import atomic_write_text, read_features, utf8_error
 from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
 from .metrics import diversity_report
 from .objective import brute_force_optimum
@@ -40,23 +40,28 @@ def _emit(report: dict, out: str | None):
 
 def _read_scores(path: str) -> np.ndarray:
     vals = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                vals.append(float(line))
-            except ValueError as exc:
-                raise LoadError(f"{path}: bad score value at line {lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    vals.append(float(line))
+                except ValueError as exc:
+                    raise LoadError(f"{path}: bad score value at line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return np.array(vals)
 
 
 def _resolve_budget(args, n_rows: int) -> int:
     if args.budget is not None:
         return args.budget
-    if not math.isfinite(args.budget_ratio):
-        raise ContractViolationError(f"budget ratio must be finite, got {args.budget_ratio}")
-    budget = int(args.budget_ratio * n_rows)
+    # a NaN or infinite ratio, or one so large that the product overflows
+    product = args.budget_ratio * n_rows
+    if not math.isfinite(product):
+        raise ContractViolationError(f"budget ratio {args.budget_ratio} yields no finite budget")
+    budget = int(product)
     if budget < 1:
         raise ContractViolationError(
             f"budget ratio {args.budget_ratio} yields an empty budget on {n_rows} rows"

@@ -5,6 +5,14 @@ little-endian, a has_labels byte, then the row-major float64 payload and,
 when labelled, n_rows int32 labels, all little-endian.  The binary format
 round-trips bit-exactly; CSV uses shortest-exact decimal rendering and
 round-trips value-exactly.
+
+CSV layout: a header line, then one line per row; a last header field named
+"label" marks a label column.  The CSV reader handles only the format
+(UTF-8 text, columns, numbers, line numbers): it reads every value, labels
+included, as the nearest float64 and leaves each value rule to
+FeatureMatrix, which refuses non-finite values and labels that the int32
+cast would change.  A refusal names the line of the first row that
+FeatureMatrix refuses on its own.
 """
 from __future__ import annotations
 
@@ -20,7 +28,6 @@ from .linalg import FeatureMatrix
 
 MAGIC = b"DIVBSFM1"
 HEADER = struct.Struct("<8sQQB")  # 25 bytes
-_INT32 = np.iinfo(np.int32)  # labels are stored as int32
 
 
 def atomic_write_bytes(path: str, *payloads):
@@ -94,9 +101,32 @@ def write_features_csv(matrix: FeatureMatrix, path: str):
     atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
+def utf8_error(path: str) -> LoadError:
+    """The LoadError for a text file that does not decode as UTF-8: it names
+    the byte offset of the first byte that does not."""
+    with open(path, "rb") as f:
+        try:
+            f.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return LoadError(f"{path}: not UTF-8 text at byte offset {exc.start}")
+    return LoadError(f"{path}: not UTF-8 text")  # it decodes now: it changed since the read
+
+
+def _csv_records(path: str, f):
+    """csv.reader over f; a byte that is not UTF-8, or a field longer than
+    csv.field_size_limit(), raises LoadError."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    except csv.Error as exc:
+        raise LoadError(f"{path}: {exc} at line {reader.line_num}") from None
+
+
 def read_features_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = _csv_records(path, f)
         try:
             header = next(reader)
         except StopIteration:
@@ -120,22 +150,25 @@ def read_features_csv(path: str) -> FeatureMatrix:
                 raise LoadError(f"{path}: bad number at line {lineno}: {exc}") from None
             linenos.append(lineno)
             if has_labels:
+                # read as every value is; FeatureMatrix decides what a label may be
                 try:
-                    label = int(row[-1])
+                    labels.append(float(row[-1]))
                 except ValueError:
                     raise LoadError(f"{path}: bad label at line {lineno}") from None
-                if not _INT32.min <= label <= _INT32.max:
-                    raise LoadError(f"{path}: label {label} outside int32 at line {lineno}")
-                labels.append(label)
     if not rows:
         raise LoadError(f"{path}: no data rows")
     values = np.array(rows)
     try:
-        return FeatureMatrix(values, np.array(labels, dtype=np.int32) if has_labels else None)
+        return FeatureMatrix(values, np.array(labels) if has_labels else None)
     except ContractViolationError:
-        # a non-finite value is all that is left to reject; locate it only now
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        raise LoadError(f"{path}: non-finite value at line {linenos[bad[0]]}") from None
+        # every rule FeatureMatrix applies to a parsed file holds row by row:
+        # the first row it refuses on its own names the line
+        for i, lineno in enumerate(linenos):
+            try:
+                FeatureMatrix(values[i : i + 1], labels[i : i + 1] if has_labels else None)
+            except ContractViolationError as exc:
+                raise LoadError(f"{path}: {exc} at line {lineno}") from None
+        raise
 
 
 def read_features(path: str) -> FeatureMatrix:

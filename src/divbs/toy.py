@@ -114,7 +114,7 @@ def _gradient_features(
     delta[:] = probs
     delta[np.arange(n), labels] -= 1.0
     np.einsum("nc,nh->nch", delta, hidden, out=feats[:, : c * h].reshape(n, c, h))
-    return FeatureMatrix(feats, row_labels=np.asarray(labels, dtype=np.int32))
+    return FeatureMatrix(feats, row_labels=labels)
 
 
 class _EpochFeatures(FeatureMatrix):

@@ -146,6 +146,21 @@ class TestSelect:
         assert main(argv + ["--scores", str(scores), "--budget", "2"]) == 3
         assert f"{scores}: bad score value at line 3:" in capsys.readouterr().err
 
+    def test_scores_not_utf8_names_byte_offset(self, hand_features, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(b"3.0\n\xff\n2.0\n")
+        argv = ["select", "--features", hand_features, "--strategy", "top_score"]
+        assert main(argv + ["--scores", str(scores), "--budget", "2"]) == 3
+        assert f"{scores}: not UTF-8 text at byte offset 4" in capsys.readouterr().err
+
+    def test_whole_float_labels(self, tmp_path, schema):
+        path = tmp_path / "labelled.csv"
+        path.write_text("f0,f1,label\n1.0,0.0,2.0\n0.0,1.0,1\n")
+        out = str(tmp_path / "sel.json")
+        args = ["select", "--features", str(path), "--strategy", "divbs", "--budget", "2"]
+        assert main(args + ["--out", out]) == 0
+        assert validate(out, schema)["indices"] == [0, 1]
+
     def test_pad_uniform_echoed_as_given(self, tmp_path, schema):
         fm = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
         feat = str(tmp_path / "f.bin")
@@ -523,7 +538,7 @@ class TestBadInputExitCodes:
         sel.write_text(json.dumps({"indices": indices}))
         return main(["metrics", "--features", features, "--selection", str(sel), "--ks", ks])
 
-    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf", "1e308"])
     def test_non_finite_budget_ratio(self, hand_features, ratio):
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + [f"--budget-ratio={ratio}"]) == 3

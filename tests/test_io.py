@@ -146,8 +146,9 @@ class TestCsvFormat:
             ("f0,f1\n1.0,2.0\n3.0\n", "expected 2 columns at line 3$"),
             ("f0,label\n1.0,x\n", "bad label at line 2$"),
             ("f0,f1\n\n", "no data rows$"),
+            ("f0,f1\n1.0,2.0\n\n" + "1" * 131_073 + ",2.0\n", "field limit.* at line 4$"),
         ],
-        ids=["empty", "label-only", "short-row", "bad-label", "header-only"],
+        ids=["empty", "label-only", "short-row", "bad-label", "header-only", "oversized-field"],
     )
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -161,6 +162,21 @@ class TestCsvFormat:
         with pytest.raises(LoadError, match="line 7$"):
             read_features_csv(str(path))
 
+    def test_whole_float_labels_read_as_int32(self, tmp_path):
+        """Labels are read as floats, as every value is; FeatureMatrix keeps
+        those that the int32 cast leaves unchanged."""
+        path = tmp_path / "m.csv"
+        path.write_text("f0,label\n1.0,2.0\n2.0,1e3\n")
+        labels = read_features_csv(str(path)).row_labels
+        assert labels.dtype == np.int32 and labels.tolist() == [2, 1000]
+
+    @pytest.mark.parametrize("label", ["2.5", "nan", "inf", "-2147483649"])
+    def test_label_refused_by_feature_matrix_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n\n1.0,1\n\n2.0,{label}\n")
+        with pytest.raises(LoadError, match="whole numbers.*int32.* at line 5$"):
+            read_features_csv(str(path))
+
 
 class TestSniffing:
     def test_read_features_dispatch(self, tmp_path):
@@ -172,6 +188,14 @@ class TestSniffing:
         write_features_csv(fm, csv_path)
         np.testing.assert_array_equal(read_features(bin_path).values, fm.values)
         np.testing.assert_array_equal(read_features(csv_path).values, fm.values)
+
+    def test_not_utf8_without_magic_names_byte_offset(self, tmp_path):
+        """A binary file with the wrong magic goes to the CSV reader; the
+        first byte that is not UTF-8 is the 0xf0 in the payload's 1.0."""
+        path = tmp_path / "m.bin"
+        path.write_bytes(HEADER.pack(b"DIVBSFM0", 1, 1, 0) + np.float64(1.0).tobytes())
+        with pytest.raises(LoadError, match="not UTF-8 text at byte offset 31$"):
+            read_features(str(path))
 
 
 class TestWriteFeatures:
