@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError, LoadError
-from .featfile import atomic_write_text, read_features, utf8_error
+from .featfile import atomic_write_text, read_features, read_scores, read_text
 from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
 from .metrics import diversity_report
 from .objective import brute_force_optimum
@@ -38,30 +38,13 @@ def _emit(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _read_scores(path: str) -> np.ndarray:
-    vals = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    vals.append(float(line))
-                except ValueError as exc:
-                    raise LoadError(f"{path}: bad score value at line {lineno}: {exc}") from None
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
-    return np.array(vals)
-
-
 def _resolve_budget(args, n_rows: int) -> int:
     if args.budget is not None:
         return args.budget
-    # a NaN or infinite ratio, or one so large that the product overflows
-    product = args.budget_ratio * n_rows
-    if not math.isfinite(product):
-        raise ContractViolationError(f"budget ratio {args.budget_ratio} yields no finite budget")
-    budget = int(product)
+    # the toy's rule; it refuses NaN too
+    if not 0.0 < args.budget_ratio <= 1.0:
+        raise ContractViolationError(f"budget ratio must be in (0, 1], got {args.budget_ratio}")
+    budget = int(args.budget_ratio * n_rows)
     if budget < 1:
         raise ContractViolationError(
             f"budget ratio {args.budget_ratio} yields an empty budget on {n_rows} rows"
@@ -108,7 +91,7 @@ def cmd_select(args) -> int:
     features = read_features(args.features)
     budget = _resolve_budget(args, features.n_rows)
     cfg = SelectionConfig(budget=budget, eps=args.eps, seed=args.seed)
-    scores = None if args.scores is None else _read_scores(args.scores)
+    scores = None if args.scores is None else read_scores(args.scores)
     if args.normalize_features:
         norms = np.linalg.norm(features.values, axis=1)
         if np.any(norms == 0.0):
@@ -159,9 +142,9 @@ def cmd_metrics(args) -> int:
     except ValueError:
         raise UsageError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     features = read_features(args.features)
+    text = read_text(args.selection)  # outside the try: a LoadError is a ValueError
     try:
-        with open(args.selection) as f:
-            payload = json.load(f)
+        payload = json.loads(text)
     except ValueError as exc:
         raise LoadError(f"{args.selection}: selection file is not JSON: {exc}") from None
     if not isinstance(payload, dict) or "indices" not in payload:

@@ -8,15 +8,21 @@ round-trips value-exactly.
 
 CSV layout: a header line, then one line per row; a last header field named
 "label" marks a label column.  The CSV reader handles only the format
-(UTF-8 text, columns, numbers, line numbers): it reads every value, labels
-included, as the nearest float64 and leaves each value rule to
-FeatureMatrix, which refuses non-finite values and labels that the int32
-cast would change.  A refusal names the line of the first row that
+(columns, numbers, line numbers): it reads every value, labels included,
+as the nearest float64 and leaves each value rule to FeatureMatrix, which
+refuses non-finite values and labels that the int32 cast would change.  A
+refusal names the physical line that the refused record ends on (a quoted
+field may span lines); for a value rule, that of the first row that
 FeatureMatrix refuses on its own.
+
+Every text input (a features CSV, a scores file, a selection file) is read
+by read_text: its bytes are read once and decoded once as UTF-8, and a byte
+that is not UTF-8 is refused with its byte offset.
 """
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 import tempfile
@@ -101,36 +107,36 @@ def write_features_csv(matrix: FeatureMatrix, path: str):
     atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
-def utf8_error(path: str) -> LoadError:
-    """The LoadError for a text file that does not decode as UTF-8: it names
-    the byte offset of the first byte that does not."""
+def read_text(path: str) -> str:
+    """The file's bytes, read once and decoded once as UTF-8; a byte that is
+    not UTF-8 raises LoadError naming its offset."""
     with open(path, "rb") as f:
-        try:
-            f.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return LoadError(f"{path}: not UTF-8 text at byte offset {exc.start}")
-    return LoadError(f"{path}: not UTF-8 text")  # it decodes now: it changed since the read
-
-
-def _csv_records(path: str, f):
-    """csv.reader over f; a byte that is not UTF-8, or a field longer than
-    csv.field_size_limit(), raises LoadError."""
-    reader = csv.reader(f)
+        data = f.read()
     try:
-        yield from reader
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
-    except csv.Error as exc:
-        raise LoadError(f"{path}: {exc} at line {reader.line_num}") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+
+
+def read_scores(path: str) -> np.ndarray:
+    """One float per line; blank lines are skipped and count as lines."""
+    vals = []
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            vals.append(float(line))
+        except ValueError as exc:
+            raise LoadError(f"{path}: bad score value at line {lineno}: {exc}") from None
+    return np.array(vals)
 
 
 def read_features_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = _csv_records(path, f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file at line 1") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise LoadError(f"{path}: empty file at line 1")
         has_labels = bool(header) and header[-1].strip().lower() == "label"
         n_cols = len(header)
         dim = n_cols - 1 if has_labels else n_cols
@@ -139,9 +145,11 @@ def read_features_csv(path: str) -> FeatureMatrix:
         rows = []
         labels = []
         linenos = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # the physical line the record ends on
+            lineno = reader.line_num
             if len(row) != n_cols:
                 raise LoadError(f"{path}: expected {n_cols} columns at line {lineno}")
             try:
@@ -155,6 +163,8 @@ def read_features_csv(path: str) -> FeatureMatrix:
                     labels.append(float(row[-1]))
                 except ValueError:
                     raise LoadError(f"{path}: bad label at line {lineno}") from None
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise LoadError(f"{path}: {exc} at line {reader.line_num}") from None
     if not rows:
         raise LoadError(f"{path}: no data rows")
     values = np.array(rows)

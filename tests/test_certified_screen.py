@@ -428,3 +428,130 @@ def test_kmeanspp_recomputes_every_row_when_the_bound_is_not_small(monkeypatch):
         assert screen.uncertified(np.zeros(n), 0).tolist() == list(range(n))
         cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none", seed=3)
         assert select_kmeanspp(fm, cfg).indices == reference_kmeanspp(fm, cfg)
+
+
+def flush32(values):
+    """values as float32, with every subnormal flushed to zero."""
+    values = np.asarray(values, np.float32)
+    return np.where(np.abs(values) < np.float32(selectors._TINY32), np.float32(0.0), values)
+
+
+class FlushingRows(np.ndarray):
+    """A float32 matrix whose np.dot with a vector behaves as on a platform
+    that flushes float32 subnormals to zero: every subnormal vector entry,
+    product and partial sum is read or stored as zero (entries of the matrix
+    itself are flushed when it is made)."""
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.dot:
+            return super().__array_function__(func, types, args, kwargs)
+        rows, vec, out = np.asarray(args[0]), flush32(args[1]), kwargs["out"]
+        for i, row in enumerate(rows):
+            total = np.float32(0.0)
+            for x, r in zip(row, vec):
+                total = flush32(total + flush32(x * r))[()]
+            out[i] = total
+        return out
+
+
+def flushing_screen(X):
+    """screen_of(X), with X32 cast and multiplied as a flush-to-zero platform would."""
+    screen = screen_of(X)
+    screen.X32 = flush32(screen.X32).view(FlushingRows)
+    return screen
+
+
+def flushed_f64_scores(rows, running):
+    """_f64_scores as a platform that flushes float64 subnormals to zero would
+    evaluate it: every subnormal product and partial sum becomes zero."""
+    out = []
+    for row in rows:
+        total = 0.0
+        for x, r in zip(row.tolist(), running.tolist()):
+            product = x * r
+            total += product if abs(product) >= selectors._TINY64 else 0.0
+            total = total if abs(total) >= selectors._TINY64 else 0.0
+        out.append(abs(total))
+    return np.array(out)
+
+
+def exact_scores(X, running):
+    return [abs(sum(Fraction(x) * Fraction(r) for x, r in zip(row, running))) for row in X]
+
+
+def test_flushed_float32_scores_still_rescore_the_exact_winner():
+    """With float32 flush-to-zero, row 1 keeps only its normal product
+    (1.2 tiny32) and loses its flushed entry's -0.594 tiny32; row 2 loses both
+    of its terms and scores 0.  So float32 puts row 1 first by 1.2 tiny32,
+    ~1e6 times both rows' relative bounds kx_i nrs, although row 2 wins
+    exactly: only the underflow term a32 covers the flushes."""
+    tiny = selectors._TINY32
+    X = np.array(
+        [[0.0, 0.0, 1.0], [2.0 * tiny, -0.99 * tiny, 0.0], [0.99 * tiny / 0.6, 0.99 * tiny, 0.0]]
+    )
+    running = np.array([0.6, 0.6, 0.0])
+    screen = flushing_screen(X)
+    s, nrs, a, scale = screen.scores(running)
+    assert scale == 1.0 and s[2] == 0.0 < s[1]
+    assert float(s[1]) - float(s[2]) > 1e6 * (screen.kx[1] + screen.kx[2]) * nrs
+    exact = exact_scores(X, running)
+    assert max(range(3), key=exact.__getitem__) == 2
+    assert screen.best(running) == (2, float(abs(X[2] @ running)))
+
+
+def test_flushed_float64_rescore_is_enclosed_and_picked(monkeypatch):
+    """Rows ~2^-522 against a running sum ~2^-500, scaled up by sx sr =
+    2^999, so their float32 scores are exact to ~2^-24.  Row 1's two products
+    lie just below tiny64, row 2's one product just above: exactly row 1 leads
+    by a factor of ~2, but a float64 re-score that flushes subnormals gives
+    row 1 zero.  The pick is the row with the largest float64 score as
+    evaluated, so row 2 must be re-scored; the float32 gap is ~230 times both
+    rows' kx_i nrs, and only the float64 underflow term a64 covers it."""
+    monkeypatch.setattr(selectors, "_f64_scores", flushed_f64_scores)
+    low, high = (1.0 - 2.0**-8) * 2.0**-522, (1.0 + 2.0**-8) * 2.0**-522
+    X = np.array([[2.0**-500, 0.0, 0.0], [0.0, low, low], [0.0, high, 0.0]])
+    running = np.array([0.0, 2.0**-500, 2.0**-500])
+    screen = screen_of(X)
+    s, nrs, a, scale = screen.scores(running)
+    assert scale == 2.0**999
+    exact = exact_scores(X, running)
+    assert exact[1] > exact[2] > 0 and float(s[1]) > float(s[2])
+    assert float(s[1]) - float(s[2]) > 200 * (screen.kx[1] + screen.kx[2]) * nrs
+    evaluated = flushed_f64_scores(X, running)
+    assert evaluated[1] == 0.0 < evaluated[2]
+    assert np.all(np.abs(s - scale * evaluated) <= screen.kx * nrs + a)
+    assert screen.best(running) == (2, evaluated[2])
+
+
+def edge_scores(screen, running, low, high):
+    """Scores that the interval of screen.scores allows at its edges: row
+    `high` at the top of its interval, row `low` at the bottom, every other
+    row as computed.  Each edge is rounded to float32 inward."""
+    s, nrs, a, scale = screen.scores(running)
+    s = s.copy()
+    bound = [Fraction(b) for b in screen.kx * nrs + a]
+    exact = [Fraction(scale) * e for e in exact_scores(screen.X, running)]
+    for row, sign in ((high, 1), (low, -1)):
+        edge = exact[row] + sign * bound[row]
+        value = np.float32(edge)
+        while sign * (Fraction(float(value)) - edge) > 0:
+            value = np.nextafter(value, np.float32(-sign * np.inf))
+        s[row] = value
+    return s, nrs, a, scale
+
+
+def test_best_keeps_a_winner_at_the_far_edge_of_both_intervals():
+    """best may trust no more than scores promises: s_i within kx_i nrs + a
+    of the scaled float64 score.  Rows 0 and 1 are ~2^-110, beside a unit row
+    that scores 0, so a (~15 tiny32) dominates their bounds.  Row 1 wins by
+    2^-20 relative, yet with row 0's score at the top of its interval and
+    row 1's at the bottom, row 0 leads by almost both bounds: the window's
+    floor must take a once for each of the two rows."""
+    t = 2.0**-110
+    X = np.array([[t, 0.0, 0.0], [0.0, t * (1.0 + 2.0**-20), 0.0], [0.0, 0.0, 1.0]])
+    running = np.array([0.6, 0.6, 0.0])
+    screen = screen_of(X)
+    s, nrs, a, scale = edge_scores(screen, running, low=1, high=0)
+    assert float(s[0]) - float(s[1]) > (screen.kx[0] + screen.kx[1]) * nrs + a
+    screen.scores = lambda running: (s.copy(), nrs, a, scale)
+    assert screen.best(running) == (1, float(abs(X[1] @ running)))

@@ -543,6 +543,13 @@ class TestBadInputExitCodes:
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + [f"--budget-ratio={ratio}"]) == 3
 
+    @pytest.mark.parametrize("ratio", ["1.5", "1e300"])
+    def test_budget_ratio_above_one(self, hand_features, capsys, ratio):
+        """Refused before the budget is formed: no 301-digit budget in the message."""
+        args = ["select", "--features", hand_features, "--strategy", "divbs"]
+        assert main(args + [f"--budget-ratio={ratio}"]) == 3
+        assert capsys.readouterr().err == f"error: budget ratio must be in (0, 1], got {float(ratio)}\n"
+
     def test_budget_ratio_empty_budget(self, hand_features, capsys):
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + ["--budget-ratio=0.2"]) == 3
@@ -632,6 +639,12 @@ class TestBadInputExitCodes:
         sel = tmp_path / "sel.json"
         sel.write_text("indices: [0, 1]\n")
         assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3
+
+    def test_metrics_selection_not_utf8_names_byte_offset(self, twenty_rows, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        sel.write_bytes(b'{"indices": [0, 1], "note": "\xff"}\n')
+        assert main(["metrics", "--features", twenty_rows, "--selection", str(sel)]) == 3
+        assert f"{sel}: not UTF-8 text at byte offset 29" in capsys.readouterr().err
 
     def test_metrics_selection_without_indices(self, twenty_rows, tmp_path, capsys):
         sel = tmp_path / "sel.json"

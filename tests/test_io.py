@@ -10,6 +10,7 @@ from divbs.featfile import (
     read_features,
     read_features_binary,
     read_features_csv,
+    read_scores,
     write_features,
     write_features_binary,
     write_features_csv,
@@ -176,6 +177,49 @@ class TestCsvFormat:
         path.write_text(f"f0,label\n\n1.0,1\n\n2.0,{label}\n")
         with pytest.raises(LoadError, match="whole numbers.*int32.* at line 5$"):
             read_features_csv(str(path))
+
+
+    def test_quoted_newline_names_physical_line(self, tmp_path):
+        """A quoted field may hold a newline: the record after it starts on
+        line 4, not on the third record's line 3."""
+        path = tmp_path / "quoted.csv"
+        path.write_text('f0,f1\n"1.0\n",2.0\nx,3\n')
+        with pytest.raises(LoadError, match="bad number at line 4: "):
+            read_features_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, values, labels",
+        [
+            ("f0,f1\n0.1,-2.5e-300\n\n1e300,-0.0\n", [[0.1, -2.5e-300], [1e300, -0.0]], None),
+            ("f0,label\n5e-324,7\n-3.25,-2147483648\n", [[5e-324], [-3.25]], [7, -2147483648]),
+            ("f0,f1\r\n1.5,2\r\n\r\n-7,0.3\r\n", [[1.5, 2.0], [-7.0, 0.3]], None),
+        ],
+        ids=["unlabelled", "labelled", "crlf"],
+    )
+    def test_parsed_values_and_labels(self, tmp_path, text, values, labels):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fm = read_features_csv(str(path))
+        assert [[v.hex() for v in row] for row in fm.values.tolist()] == [
+            [float(v).hex() for v in row] for row in values
+        ]
+        assert (None if fm.row_labels is None else fm.row_labels.tolist()) == labels
+
+
+class TestScoresFormat:
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(b"\n0.1\r\n\n  -2e-310 \n\n1e300\n\n")
+        scores = read_scores(str(path))
+        assert scores.dtype == np.float64
+        assert [v.hex() for v in scores.tolist()] == [v.hex() for v in (0.1, -2e-310, 1e300)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_value_line_counts_blank_lines(self, tmp_path, newline):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(newline.join(["1.0", "", "2.0", "", "x", ""]).encode("utf-8"))
+        with pytest.raises(LoadError, match="bad score value at line 5: "):
+            read_scores(str(path))
 
 
 class TestSniffing:

@@ -523,3 +523,39 @@ def test_power_of_two_scale_invariance(n, d, rank, duplicates, offset, base, k, 
         scaled = select(FeatureMatrix(X * 2.0**k), config)
         assert scaled.indices == unscaled.indices
         assert scaled.step_scores == [s * factor for s in unscaled.step_scores]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 24),
+    kind=st.sampled_from(["gaussian", "integer", "offset"]),
+    copies=st.integers(1, 60),
+    budget=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_duplicate_rows_in_random_orders(n, d, kind, copies, budget, seed):
+    """Exact copies of random rows, shuffled among them.  Divbs re-scores in
+    float64 every row that can win, by a sum that is the same for equal rows,
+    so a duplicate it picks is always the lowest index of its group.  Greedy
+    scores rows by BLAS products, whose rounding can depend on a row's place
+    in the batch (equal rows of one X @ Sum have differed in the last bit),
+    so its ties may go to a higher index, as README says; it still picks at
+    most one row of each group."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        B = rng.integers(-2, 3, (n, d)).astype(float)
+    else:
+        B = rng.standard_normal((n, d)) + (10.0 * rng.standard_normal(d) if kind == "offset" else 0.0)
+    X = np.vstack([B, B[rng.integers(0, n, copies)]])
+    X = X[rng.permutation(len(X))]
+    assume(np.any(X != 0.0))
+    _, group = np.unique(X, axis=0, return_inverse=True)
+    group = group.ravel()
+    lowest = {int(g): i for i, g in reversed(list(enumerate(group)))}
+    fm = FeatureMatrix(X)
+    config = cfg(min(budget, len(X)))
+    picks = select_divbs(fm, config).indices
+    assert all(lowest[int(group[i])] == i for i in picks)
+    picks = select_greedy(fm, config).indices
+    assert len({int(group[i]) for i in picks}) == len(picks)
