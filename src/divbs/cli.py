@@ -41,7 +41,7 @@ def _emit(report: dict, out: str | None):
 def _resolve_budget(args, n_rows: int) -> int:
     if args.budget is not None:
         return args.budget
-    # the toy's rule; it refuses NaN too
+    # the toy's ratio rule; it refuses NaN too
     if not 0.0 < args.budget_ratio <= 1.0:
         raise ContractViolationError(f"budget ratio must be in (0, 1], got {args.budget_ratio}")
     budget = int(args.budget_ratio * n_rows)

@@ -38,13 +38,18 @@ HEADER = struct.Struct("<8sQQB")  # 25 bytes
 
 def atomic_write_bytes(path: str, *payloads):
     """Write the payloads (bytes-like, contiguous) one after another to a
-    temporary file, then rename it over path."""
+    temporary file, then rename it over path.  The file gets the mode that
+    open(path, "w") gives a new file, 0o666 less the umask, not mkstemp's
+    0o600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
             for payload in payloads:
                 f.write(payload)
+        umask = os.umask(0o077)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

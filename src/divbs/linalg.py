@@ -18,9 +18,12 @@ DEFAULT_EPS = 1e-10
 
 
 def check_eps(eps):
-    """Reject a dependence tolerance that is not finite and non-negative."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ContractViolationError(f"eps must be finite and >= 0, got {eps!r}")
+    """Reject a dependence tolerance outside [0, 1), NaN included.  No row can
+    clear an eps of 1 or more: a residual is never longer than its row, so
+    ||r|| <= ||x|| <= eps * max(1, ||x||).  The bound also keeps the squared
+    floors that the selectors compare against finite."""
+    if not 0.0 <= eps < 1.0:
+        raise ContractViolationError(f"eps must be in [0, 1), got {eps!r}")
 
 
 @dataclass
@@ -79,7 +82,7 @@ class OrthonormalBasis:
 
     eps controls when a residual counts as zero: a candidate is considered
     linearly dependent when its residual norm is <= eps * max(1, ||v||);
-    a NaN, infinite or negative eps is refused (check_eps).
+    an eps outside [0, 1) is refused (check_eps).
     """
 
     def __init__(self, dim: int, eps: float = DEFAULT_EPS):

@@ -289,10 +289,12 @@ class _DistanceScreen:
 
 def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
     """Set-up shared by greedy and divbs: the rows X, their sum Sum,
-    ||Sum||^2, the squared row norms, the dependence floor on them and the
-    mask of rows above it.  Raises ContractViolationError when the budget
-    exceeds the rows, a squared norm overflows or no row clears the floor."""
+    ||Sum||^2, the squared row norms, the dependence floor on them, the mask
+    of rows above it and the empty basis.  Raises ContractViolationError when
+    the budget exceeds the rows, the basis refuses eps (before eps**2 is
+    formed), a squared norm overflows or no row clears the floor."""
     _check_budget(features, cfg)
+    basis = OrthonormalBasis(features.dim, cfg.eps)
     X = features.values
     with np.errstate(over="ignore"):
         total = X.sum(axis=0)
@@ -309,7 +311,7 @@ def _prepare(features: FeatureMatrix, cfg: SelectionConfig):
             f"no row clears the dependence floor eps * max(1, ||x||) with eps={cfg.eps}; "
             "the features are too small for this eps"
         )
-    return X, total, sum2, nrm2, floor2, alive
+    return X, total, sum2, nrm2, floor2, alive, basis
 
 
 def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
@@ -325,10 +327,9 @@ def select_greedy(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionRes
     Step scores are |e . Sum|.
     """
     t0 = time.perf_counter()
-    X, total, sum2, nrm2, floor2, alive = _prepare(features, cfg)
+    X, total, sum2, nrm2, floor2, alive, basis = _prepare(features, cfg)
     sum_ref = sum2
     running = total
-    basis = OrthonormalBasis(X.shape[1], cfg.eps)
     proj = X @ total
     ref = nrm2.copy()
     indices: list[int] = []
@@ -382,11 +383,10 @@ def select_divbs(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResu
     picked and rejected rows are retired from the screen.
     """
     t0 = time.perf_counter()
-    X, total, sum2, nrm2, _, alive = _prepare(features, cfg)
+    X, total, sum2, nrm2, _, alive, basis = _prepare(features, cfg)
     sum_ref = sum2
     sum_floor2 = (cfg.eps * max(1.0, math.sqrt(sum2))) ** 2
     running = total.copy()
-    basis = OrthonormalBasis(X.shape[1], cfg.eps)
     screen = _Float32Screen(X, nrm2)
     screen.retire(~alive)
     indices: list[int] = []

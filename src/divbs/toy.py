@@ -7,13 +7,18 @@ runs one full-batch forward pass, whose hidden activations and
 probabilities feed the accuracy, the losses and the selection features; the
 Adam step's gradients come from a forward pass over the selected rows only.
 An epoch's N x (4*100 + 4) gradient features are built only when something
-reads them: greedy, divbs and kmeanspp read them every epoch, while uniform
-and top_loss read only the row count (and the losses), so their runs build
-the matrix once, for the final diversity report.  The network shape, the
-Adam hyperparameters and the cluster means are constants.
+reads their values or labels: greedy, divbs and kmeanspp read them every
+epoch, while uniform and top_loss read only the row count (and the losses),
+so their runs build the matrix once, for the final diversity report.  A run
+is checked whole before its first epoch: its arguments, a budget of at
+least 2 rows (the final diversity report needs two) and one SelectionConfig,
+from which each epoch derives its own seed.  Adam moments start at zero
+without being stored.  The network shape, the Adam hyperparameters and the
+cluster means are constants.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +42,12 @@ class ToyDatasetSpec:
 
 
 def generate_toy_dataset(spec: ToyDatasetSpec) -> tuple[FeatureMatrix, np.ndarray]:
-    """Seeded unit-variance Gaussian clusters; labels 0..3 by cluster."""
+    """Seeded unit-variance Gaussian clusters; labels 0..3 by cluster.  More
+    counts than the four cluster means are refused."""
+    if len(spec.counts) > len(DEFAULT_MEANS):
+        raise ContractViolationError(
+            f"{len(spec.counts)} cluster counts given, the toy has {len(DEFAULT_MEANS)} clusters"
+        )
     rng = np.random.default_rng(spec.seed)
     points = []
     labels = []
@@ -51,8 +61,9 @@ def generate_toy_dataset(spec: ToyDatasetSpec) -> tuple[FeatureMatrix, np.ndarra
 
 @dataclass
 class MlpState:
-    """Two-layer ReLU MLP parameters plus Adam optimizer state; the Adam
-    hyperparameters are class constants."""
+    """Two-layer ReLU MLP parameters plus Adam optimizer state: the moments
+    m and v by parameter name (adam_step reads a missing one as zero) and the
+    step count.  The Adam hyperparameters are class constants."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -67,14 +78,6 @@ class MlpState:
     beta2 = 0.999
     adam_eps = 1e-8
     PARAMS = ("w1", "b1", "w2", "b2")
-
-    def __post_init__(self):
-        for name in self.PARAMS:
-            p = getattr(self, name)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-            if name not in self.v:
-                self.v[name] = np.zeros_like(p)
 
 
 def init_mlp(seed: int) -> MlpState:
@@ -117,36 +120,29 @@ def _gradient_features(
     return FeatureMatrix(feats, row_labels=labels)
 
 
-class _EpochFeatures(FeatureMatrix):
-    """An epoch's gradient features, built by _gradient_features and validated
-    on the first read of values or row_labels, then kept.  n_rows and dim come
-    from the forward pass, so a strategy that reads only them builds nothing."""
+class _EpochFeatures:
+    """An epoch's gradient features, read by the selectors as a FeatureMatrix.
+    n_rows and dim come from the forward pass; the matrix is built by
+    _gradient_features (and validated) on the first read of values or
+    row_labels, then kept.  So a strategy that reads only the shape builds
+    nothing, and neither does repr."""
 
     def __init__(self, hidden: np.ndarray, probs: np.ndarray, labels: np.ndarray):
         self._forward = (hidden, probs, labels)
-        self._built: FeatureMatrix | None = None
+        self.n_rows, n_classes = probs.shape
+        self.dim = n_classes * (hidden.shape[1] + 1)
 
+    @functools.cached_property
     def _matrix(self) -> FeatureMatrix:
-        if self._built is None:
-            self._built = _gradient_features(*self._forward)
-        return self._built
+        return _gradient_features(*self._forward)
 
     @property
     def values(self) -> np.ndarray:
-        return self._matrix().values
+        return self._matrix.values
 
     @property
     def row_labels(self) -> np.ndarray:
-        return self._matrix().row_labels
-
-    @property
-    def n_rows(self) -> int:
-        return self._forward[1].shape[0]
-
-    @property
-    def dim(self) -> int:
-        hidden, probs, _ = self._forward
-        return probs.shape[1] * (hidden.shape[1] + 1)
+        return self._matrix.row_labels
 
 
 def last_layer_gradient_features(
@@ -194,8 +190,8 @@ def adam_step(model: MlpState, grads: dict) -> MlpState:
         p = getattr(model, name)
         if g.shape != p.shape:
             raise ContractViolationError(f"gradient shape mismatch for {name}")
-        m = model.beta1 * model.m[name] + (1.0 - model.beta1) * g
-        v = model.beta2 * model.v[name] + (1.0 - model.beta2) * g * g
+        m = model.beta1 * model.m.get(name, 0.0) + (1.0 - model.beta1) * g
+        v = model.beta2 * model.v.get(name, 0.0) + (1.0 - model.beta2) * g * g
         m_hat = m / (1.0 - model.beta1**t)
         v_hat = v / (1.0 - model.beta2**t)
         new_params[name] = p - model.lr * m_hat / (np.sqrt(v_hat) + model.adam_eps)
@@ -245,7 +241,9 @@ def run_toy_experiment(
     selection that stops short (greedy or divbs) to the budget with
     pad_selection's seeded uniform draws, and takes one Adam step on the
     mean loss over the selected subset.  final_padded flags the padded rows
-    of the last epoch's batch.
+    of the last epoch's batch.  A budget below 2 rows is refused before the
+    first epoch, and so is anything SelectionConfig refuses (a negative
+    seed, a bad eps).
     """
     if strategy not in TOY_STRATEGIES:
         raise ContractViolationError(f"unknown strategy {strategy!r}")
@@ -253,13 +251,17 @@ def run_toy_experiment(
         raise ContractViolationError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
     if epochs < 1:
         raise ContractViolationError(f"epochs must be >= 1, got {epochs}")
-    if seed < 0:
-        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     spec = dataset if dataset is not None else ToyDatasetSpec(seed=seed)
+    n = sum(spec.counts)
+    budget = int(budget_ratio * n)
+    if budget < 2:
+        raise ContractViolationError(
+            f"budget_ratio {budget_ratio} gives a budget of {budget} of {n} rows; "
+            "the toy needs at least 2"
+        )
+    base = SelectionConfig(budget=budget, eps=eps, seed=seed)
     data, labels = generate_toy_dataset(spec)
     x = data.values
-    n = data.n_rows
-    budget = max(1, int(budget_ratio * n))
     model = init_mlp(seed)
     select = STRATEGIES["top_score" if strategy == "top_loss" else strategy]
     accuracy: list[float] = []
@@ -268,7 +270,7 @@ def run_toy_experiment(
         accuracy.append(float(np.mean(probs.argmax(axis=1) == labels)))
         feats = _EpochFeatures(hidden, probs, labels)
         losses = per_sample_loss(probs, labels)
-        cfg = SelectionConfig(budget=budget, eps=eps, seed=(seed * 1_000_003 + epoch) % 2**63)
+        cfg = replace(base, seed=(seed * 1_000_003 + epoch) % 2**63)
         result = select(feats, losses, cfg)
         if len(result.indices) < budget:
             result = pad_selection(result, feats, cfg)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import stat
 from importlib import resources
 
 import jsonschema
@@ -54,6 +55,14 @@ class TestSelect:
         assert code == 0
         report = validate(out, schema)
         assert report["indices"] == [0, 2]
+
+    def test_out_report_mode_follows_umask(self, hand_features, tmp_path, set_umask):
+        """The report gets 0o666 less the umask, as a plain open would give it."""
+        set_umask(0o022)
+        out = tmp_path / "sel.json"
+        argv = ["select", "--features", hand_features, "--strategy", "divbs", "--budget", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_budget_ratio(self, tmp_path, schema):
         rng = np.random.default_rng(60)
@@ -200,7 +209,7 @@ class TestSelect:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["nan", "-1e-3", "inf", "-5"])
+    @pytest.mark.parametrize("flag", ["nan", "-1e-3", "inf", "-5", "1", "1e200"])
     def test_bad_eps_data_error(self, hand_features, tmp_path, flag):
         eps = [f"--eps={flag}"]  # "=" so argparse takes "-1e-3" as a value
         out = tmp_path / "sel.json"
@@ -603,6 +612,15 @@ class TestBadInputExitCodes:
     def test_select_negative_seed(self, twenty_rows, capsys, extra):
         assert main(["select", "--features", twenty_rows, "--seed", "-1"] + extra) == 3
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_toy_budget_below_two(self, tmp_path, capsys):
+        """Refused before the first epoch: the run's final diversity report
+        needs two rows."""
+        args = ["toy", "--strategy", "uniform", "--budget-ratio", "0.001", "--epochs", "1"]
+        assert main(args + ["--out-dir", str(tmp_path / "toy")]) == 3
+        err = capsys.readouterr().err
+        assert "budget_ratio 0.001 gives a budget of 1 of 1470 rows" in err
+        assert not (tmp_path / "toy").exists()
 
     def test_toy_negative_seed(self, tmp_path):
         args = ["toy", "--strategy", "uniform", "--epochs", "1", "--seed", "-1"]

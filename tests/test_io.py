@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -269,3 +271,25 @@ class TestWriteFeatures:
         with pytest.raises(ValueError, match="unknown format 'parquet'"):
             write_features(self.FM, str(path), "parquet")
         assert not path.exists()
+
+
+class TestFileMode:
+    """A written file gets the mode that open(path, "w") gives a new file,
+    0o666 less the umask, and keeps it when it is written over."""
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    @pytest.mark.parametrize("name", ["m.bin", "m.csv"])
+    def test_mode_follows_umask(self, tmp_path, set_umask, name, mask, mode):
+        set_umask(mask)
+        path = tmp_path / name
+        write_features(TestWriteFeatures.FM, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_overwrite_keeps_plain_open_mode(self, tmp_path, set_umask):
+        set_umask(0o022)
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"old")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        write_features(TestWriteFeatures.FM, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert os.listdir(tmp_path) == ["m.bin"]

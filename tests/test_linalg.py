@@ -23,7 +23,7 @@ def _select_with_eps(select):
     return run
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3, 1.0, 1e200])
 @pytest.mark.parametrize(
     "call",
     [
@@ -49,7 +49,8 @@ def _select_with_eps(select):
 )
 def test_every_eps_is_checked(call, eps):
     """Every eps reaches an OrthonormalBasis, which refuses a NaN, infinite
-    or negative one instead of returning r=nan."""
+    or negative one instead of returning r=nan, and one of 1 or more, which
+    no row can clear (1e200 would overflow eps**2)."""
     with pytest.raises(ContractViolationError, match="eps"):
         call(eps)
 

@@ -33,7 +33,7 @@ def cfg(budget, **kw):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-12, -5.0])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-12, -5.0, 1.0, 1e200])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ContractViolationError, match="eps"):
             SelectionConfig(budget=1, eps=eps)

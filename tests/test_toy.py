@@ -33,6 +33,15 @@ class TestDataset:
         assert data.n_rows == 4
         assert list(labels) == [0, 1, 2, 3]
 
+    def test_rejects_more_counts_than_clusters(self):
+        """A fifth count has no cluster mean, so it is refused rather than
+        dropped, and a run's row count is always sum(counts)."""
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5, 5), seed=3)
+        with pytest.raises(ContractViolationError, match="5 cluster counts given"):
+            generate_toy_dataset(spec)
+        with pytest.raises(ContractViolationError, match="5 cluster counts given"):
+            run_toy_experiment("uniform", 0.2, epochs=1, seed=3, dataset=spec)
+
     def test_cluster_zero_mean(self):
         spec = ToyDatasetSpec(counts=(100_000, 1, 1, 1), seed=2)
         data, labels = generate_toy_dataset(spec)
@@ -163,6 +172,27 @@ class TestAdam:
         for n in MlpState.PARAMS:
             np.testing.assert_array_equal(getattr(a, n), getattr(b, n))
 
+    def test_missing_moments_read_as_zero(self):
+        """A state built without moments takes the same step, bit for bit, as
+        one given explicit zero moments."""
+        model = init_mlp(seed=14)
+        rng = np.random.default_rng(14)
+        grads = {n: rng.normal(size=getattr(model, n).shape) for n in MlpState.PARAMS}
+        grads["b1"][:3] = [0.0, -0.0, 1e-300]
+        zeros = {n: np.zeros_like(getattr(model, n)) for n in MlpState.PARAMS}
+        bare = adam_step(MlpState(model.w1, model.b1, model.w2, model.b2), grads)
+        explicit = adam_step(
+            MlpState(model.w1, model.b1, model.w2, model.b2, m=dict(zeros), v=dict(zeros)), grads
+        )
+        for n in MlpState.PARAMS:
+            for got, want in [
+                (getattr(bare, n), getattr(explicit, n)),
+                (bare.m[n], explicit.m[n]),
+                (bare.v[n], explicit.v[n]),
+            ]:
+                assert got.tobytes() == want.tobytes()
+        assert bare.step == explicit.step == 1
+
     def test_rejects_misshaped_gradient(self):
         model = init_mlp(seed=13)
         grads = {n: np.zeros_like(getattr(model, n)) for n in MlpState.PARAMS}
@@ -253,6 +283,43 @@ class TestSingleForwardPass:
         with pytest.raises(ContractViolationError, match=message):
             run_toy_experiment(strategy, ratio, epochs=1, seed=18, dataset=spec)
 
+    @pytest.mark.parametrize(
+        "ratio, counts, budget",
+        [(0.001, None, 1), (0.02, (30, 10, 5, 5), 1), (0.01, (30, 10, 5, 5), 0)],
+        ids=["default-1", "small-1", "small-0"],
+    )
+    def test_rejects_budget_below_two_before_training(self, monkeypatch, ratio, counts, budget):
+        """The final diversity report needs two rows, so a smaller budget is
+        refused before the first forward pass, naming the ratio and budget."""
+        spec = None if counts is None else ToyDatasetSpec(counts=counts, seed=18)
+        rows = 1470 if counts is None else sum(counts)
+        calls = []
+        monkeypatch.setattr(toy, "forward", lambda *args: calls.append(args))
+        message = rf"budget_ratio {ratio} gives a budget of {budget} of {rows} rows"
+        with pytest.raises(ContractViolationError, match=message):
+            run_toy_experiment("uniform", ratio, epochs=1, seed=18, dataset=spec)
+        assert calls == []
+
+    def test_budget_of_two_runs(self):
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
+        rep = run_toy_experiment("divbs", 0.05, epochs=2, seed=18, dataset=spec)
+        assert len(rep.final_indices) == 2
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"seed": -1}, "seed must be >= 0, got -1"), ({"eps": 1.0}, r"eps must be in \[0, 1\)")],
+        ids=["negative-seed", "eps-1"],
+    )
+    def test_config_refused_before_training(self, monkeypatch, kwargs, message):
+        """The run's one SelectionConfig checks the seed and eps before any
+        data is drawn."""
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
+        calls = []
+        monkeypatch.setattr(toy, "generate_toy_dataset", lambda spec: calls.append(spec))
+        with pytest.raises(ContractViolationError, match=message):
+            run_toy_experiment("uniform", 0.2, epochs=1, dataset=spec, **kwargs)
+        assert calls == []
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_rejects_fewer_than_one_epoch(self, epochs):
         spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
@@ -298,6 +365,13 @@ class TestLazyFeatures:
         eager = last_layer_gradient_features(model, data.values, labels)
         assert feats.values.tobytes() == eager.values.tobytes()
         assert feats.row_labels.tobytes() == eager.row_labels.tobytes()
+
+    def test_repr_builds_nothing(self, builds):
+        model = init_mlp(seed=21)
+        data, labels = generate_toy_dataset(ToyDatasetSpec(counts=(30, 10, 5, 5), seed=21))
+        feats = toy._EpochFeatures(*forward(model, data.values), labels)
+        repr(feats)
+        assert builds == []
 
     @staticmethod
     def report_json(report):
