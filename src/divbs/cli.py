@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError, LoadError
 from .featfile import atomic_write_text, read_features, read_scores, read_text
-from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps
+from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps, check_int
 from .metrics import diversity_report
 from .objective import brute_force_optimum
 from .selectors import STRATEGIES, SelectionConfig, SelectionResult, pad_selection
@@ -55,13 +55,10 @@ def _resolve_budget(args, n_rows: int) -> int:
 def _gaussian_batches(args):
     """The trials of oracle-check and bench: args.trials standard normal
     n x d batches drawn, one per trial, from a generator seeded with
-    args.seed.  Sizes below 1 and a negative seed are refused at the call,
-    before any batch is drawn."""
-    for name in ("n", "d", "trials"):
-        if getattr(args, name) < 1:
-            raise ContractViolationError(f"{name} must be >= 1, got {getattr(args, name)}")
-    if args.seed < 0:
-        raise ContractViolationError(f"seed must be >= 0, got {args.seed}")
+    args.seed.  Sizes below 1 and a negative seed are refused by check_int
+    at the call, before any batch is drawn."""
+    for name, least in (("n", 1), ("d", 1), ("trials", 1), ("seed", 0)):
+        check_int(name, getattr(args, name), least)
     rng = np.random.default_rng(args.seed)
     return (FeatureMatrix(rng.standard_normal((args.n, args.d))) for _ in range(args.trials))
 

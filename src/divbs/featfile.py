@@ -25,7 +25,6 @@ import csv
 import io
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -38,18 +37,19 @@ HEADER = struct.Struct("<8sQQB")  # 25 bytes
 
 def atomic_write_bytes(path: str, *payloads):
     """Write the payloads (bytes-like, contiguous) one after another to a
-    temporary file, then rename it over path.  The file gets the mode that
-    open(path, "w") gives a new file, 0o666 less the umask, not mkstemp's
-    0o600."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    new temporary file .tmp-<random hex><basename> in path's directory, then
+    rename it over path.  The temporary file is created with mode 0o666,
+    which the kernel reduces by the umask, so path gets the mode that
+    open(path, "w") gives a new file; the umask is never set to be read."""
+    d, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}{base}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    # outside the try: a name that already exists is not this call's to unlink
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for payload in payloads:
                 f.write(payload)
-        umask = os.umask(0o077)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

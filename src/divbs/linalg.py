@@ -1,7 +1,11 @@
-"""The feature matrix, the dependence tolerance and the incremental
-orthonormal basis.
+"""The feature matrix, the dependence tolerance, the integer rule and the
+incremental orthonormal basis.
 
-FeatureMatrix is the one place that rejects non-finite feature values.
+FeatureMatrix is the one place that rejects feature values: values that are
+not bool, integer or float (complex, text, object) and non-finite ones.
+check_eps is the one rule for a dependence tolerance, and check_int the one
+rule for every integer argument with a lower bound (a selection budget and
+seed, a basis dim, the toy's epochs, the CLI's synthetic sizes and seed).
 Everything here is double precision and deterministic: identical inputs
 produce bitwise-identical outputs on the same platform.
 """
@@ -26,11 +30,24 @@ def check_eps(eps):
         raise ContractViolationError(f"eps must be in [0, 1), got {eps!r}")
 
 
+def check_int(name, value, least):
+    """Return value as a Python int, or refuse it: a bool and anything that
+    is not an int or a numpy integer (a float, even 3.0, included), and an
+    integer below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractViolationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass
 class FeatureMatrix:
     """N x D matrix of per-sample selection features, optionally labelled.
 
-    values is row-major float64, one feature vector per row.  row_labels,
+    values is row-major float64, one feature vector per row, cast from bool,
+    integer or float values; values of any other dtype (complex, text,
+    object) are refused instead of being cast.  row_labels,
     when present, assigns an integer group/class id to each row; it is
     stored as C-contiguous int32.  Integer and float labels are kept only if
     the int32 cast leaves every one of them unchanged, so a fractional,
@@ -42,7 +59,12 @@ class FeatureMatrix:
     row_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biuf":
+            raise ContractViolationError(
+                f"feature values must be bool, integer or float, got dtype {values.dtype}"
+            )
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ContractViolationError(
                 f"feature values must be 2-D, got shape {self.values.shape}"
@@ -86,10 +108,8 @@ class OrthonormalBasis:
     """
 
     def __init__(self, dim: int, eps: float = DEFAULT_EPS):
-        if dim < 1:
-            raise ContractViolationError(f"basis dim must be >= 1, got {dim}")
+        self.dim = check_int("basis dim", dim, 1)
         check_eps(eps)
-        self.dim = int(dim)
         self.eps = float(eps)
         self._size = 0
         self._store = np.empty((min(16, self.dim), self.dim), dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, EnumerationCapError
-from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_int
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -90,8 +90,7 @@ def brute_force_optimum(
     EnumerationCapError, without enumerating, when the total number of
     subsets exceeds DEFAULT_ENUMERATION_CAP.
     """
-    if budget < 1:
-        raise ContractViolationError(f"budget must be >= 1, got {budget}")
+    budget = check_int("budget", budget, 1)
     n = features.n_rows
     total_subsets = sum(math.comb(n, k) for k in range(min(budget, n) + 1))
     if total_subsets > DEFAULT_ENUMERATION_CAP:

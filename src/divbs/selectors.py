@@ -39,7 +39,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps, check_int
 from .objective import ObjectiveValue, _check_subset, representativeness
 
 
@@ -53,16 +53,9 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self, pad_policy):
-        for name in ("budget", "seed"):
-            value = getattr(self, name)
-            # as in _check_subset: numpy integers pass, a bool does not
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
-        if self.budget < 1:
-            raise ContractViolationError(f"budget must be >= 1, got {self.budget}")
+        object.__setattr__(self, "budget", check_int("budget", self.budget, 1))
         check_eps(self.eps)
-        if self.seed < 0:
-            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         if pad_policy != "none":
             raise ContractViolationError(f"pad_policy {pad_policy!r} refused: use pad_selection")
 
@@ -473,8 +466,6 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     rng = np.random.default_rng(cfg.seed)
     first = int(rng.integers(n))
     indices = [first]
-    chosen = np.zeros(n, dtype=bool)
-    chosen[first] = True
     with np.errstate(over="ignore"):
         d2 = np.sum((X - X[first]) ** 2, axis=1)
         # every later d2 is at most this one, so no later sum overflows
@@ -490,10 +481,9 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
-            remaining = np.flatnonzero(~chosen)
+            remaining = np.setdiff1d(np.arange(n), indices)
             idx = int(remaining[rng.integers(remaining.size)])
         indices.append(idx)
-        chosen[idx] = True
         if len(indices) == cfg.budget:
             break
         rows = screen.uncertified(d2, idx)

@@ -10,9 +10,11 @@ An epoch's N x (4*100 + 4) gradient features are built only when something
 reads their values or labels: greedy, divbs and kmeanspp read them every
 epoch, while uniform and top_loss read only the row count (and the losses),
 so their runs build the matrix once, for the final diversity report.  A run
-is checked whole before its first epoch: its arguments, a budget of at
-least 2 rows (the final diversity report needs two) and one SelectionConfig,
-from which each epoch derives its own seed.  Adam moments start at zero
+is checked whole before its first epoch: its arguments (epochs by
+linalg.check_int), a budget of at least 2 rows (the final diversity report
+needs two) and one SelectionConfig.  Each epoch derives its own seed from
+that config's seed, which the config stores as a Python int, so a numpy
+integer seed runs and reports as the same int.  Adam moments start at zero
 without being stored.  The network shape, the Adam hyperparameters and the
 cluster means are constants.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_EPS, FeatureMatrix
+from .linalg import DEFAULT_EPS, FeatureMatrix, check_int
 from .metrics import DiversityReport, diversity_report
 from .selectors import STRATEGIES, SelectionConfig, pad_selection
 
@@ -242,15 +244,15 @@ def run_toy_experiment(
     pad_selection's seeded uniform draws, and takes one Adam step on the
     mean loss over the selected subset.  final_padded flags the padded rows
     of the last epoch's batch.  A budget below 2 rows is refused before the
-    first epoch, and so is anything SelectionConfig refuses (a negative
-    seed, a bad eps).
+    first epoch, and so are epochs that are not an integer of at least 1
+    and anything SelectionConfig refuses (a seed that is not an integer of
+    at least 0, a bad eps).
     """
     if strategy not in TOY_STRATEGIES:
         raise ContractViolationError(f"unknown strategy {strategy!r}")
     if not 0.0 < budget_ratio <= 1.0:
         raise ContractViolationError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    if epochs < 1:
-        raise ContractViolationError(f"epochs must be >= 1, got {epochs}")
+    check_int("epochs", epochs, 1)
     spec = dataset if dataset is not None else ToyDatasetSpec(seed=seed)
     n = sum(spec.counts)
     budget = int(budget_ratio * n)
@@ -262,7 +264,7 @@ def run_toy_experiment(
     base = SelectionConfig(budget=budget, eps=eps, seed=seed)
     data, labels = generate_toy_dataset(spec)
     x = data.values
-    model = init_mlp(seed)
+    model = init_mlp(base.seed)
     select = STRATEGIES["top_score" if strategy == "top_loss" else strategy]
     accuracy: list[float] = []
     for epoch in range(epochs):
@@ -270,7 +272,7 @@ def run_toy_experiment(
         accuracy.append(float(np.mean(probs.argmax(axis=1) == labels)))
         feats = _EpochFeatures(hidden, probs, labels)
         losses = per_sample_loss(probs, labels)
-        cfg = replace(base, seed=(seed * 1_000_003 + epoch) % 2**63)
+        cfg = replace(base, seed=(base.seed * 1_000_003 + epoch) % 2**63)
         result = select(feats, losses, cfg)
         if len(result.indices) < budget:
             result = pad_selection(result, feats, cfg)
@@ -282,7 +284,7 @@ def run_toy_experiment(
     mask[sel] = True
     return ToyRunReport(
         strategy=strategy,
-        seed=seed,
+        seed=base.seed,
         accuracy=accuracy,
         final_indices=[int(i) for i in sel],
         final_padded=list(result.padded),

@@ -64,6 +64,21 @@ class TestSelect:
         assert main(argv + ["--out", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
+    def test_out_report_mode_without_reading_umask(
+        self, hand_features, tmp_path, set_umask, monkeypatch
+    ):
+        """The report is written without setting the umask to read it."""
+        set_umask(0o022)
+
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        out = tmp_path / "sel.json"
+        argv = ["select", "--features", hand_features, "--strategy", "divbs", "--budget", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
     def test_budget_ratio(self, tmp_path, schema):
         rng = np.random.default_rng(60)
         fm = FeatureMatrix(rng.standard_normal((1470, 4)))

@@ -285,6 +285,21 @@ class TestFileMode:
         write_features(TestWriteFeatures.FM, str(path))
         assert stat.S_IMODE(path.stat().st_mode) == mode
 
+    @pytest.mark.parametrize("name", ["m.bin", "m.csv"])
+    def test_umask_is_not_set_to_be_read(self, tmp_path, set_umask, monkeypatch, name):
+        """Setting the umask to read it would give 0o600 to a file that
+        another thread of the process creates meanwhile."""
+        set_umask(0o022)
+
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        path = tmp_path / name
+        write_features(TestWriteFeatures.FM, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert os.listdir(tmp_path) == [name]
+
     def test_overwrite_keeps_plain_open_mode(self, tmp_path, set_umask):
         set_umask(0o022)
         path = tmp_path / "m.bin"

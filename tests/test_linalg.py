@@ -60,10 +60,12 @@ def test_every_eps_is_checked(call, eps):
     [
         (lambda: FeatureMatrix(np.ones(3)), "must be 2-D"),
         (lambda: OrthonormalBasis(0), "basis dim must be >= 1"),
+        (lambda: OrthonormalBasis(2.7), "basis dim must be an integer, got 2.7"),
+        (lambda: OrthonormalBasis(True), "basis dim must be an integer, got True"),
         (lambda: OrthonormalBasis(2).residual(np.ones((2, 2, 2))), "expected a vector or rows"),
         (lambda: OrthonormalBasis(2).extend(np.ones((2, 2))), "expected a 1-D vector"),
     ],
-    ids=["values-1d", "basis-dim-0", "residual-3d", "extend-2d"],
+    ids=["values-1d", "basis-dim-0", "basis-dim-2.7", "basis-dim-True", "residual-3d", "extend-2d"],
 )
 def test_shape_contracts(call, message):
     with pytest.raises(ContractViolationError, match=message):
@@ -78,6 +80,21 @@ class TestFeatureMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolationError):
             FeatureMatrix(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.array([[1 + 2j, 3]]), "complex128"),
+            (np.array([["1", "2"]]), "<U1"),
+            ([[2**70, 1.0]], "object"),
+        ],
+        ids=["complex", "numeric-text", "object"],
+    )
+    def test_values_other_than_bool_int_float_rejected(self, values, dtype):
+        """The float64 cast would drop an imaginary part and parse text."""
+        message = f"bool, integer or float, got dtype {dtype}"
+        with pytest.raises(ContractViolationError, match=message):
+            FeatureMatrix(values)
 
     @pytest.mark.parametrize(
         "labels", [[0, 3_000_000_000], np.array([-(2**31) - 1, 0]), [0.0, np.nan]]

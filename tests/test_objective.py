@@ -181,6 +181,9 @@ class TestBruteForce:
     def test_budget_below_one_refused(self):
         with pytest.raises(ContractViolationError, match="budget must be >= 1, got 0"):
             brute_force_optimum(FeatureMatrix(np.eye(3)), 0)
+        for budget in (2.5, True):
+            with pytest.raises(ContractViolationError, match="budget must be an integer"):
+                brute_force_optimum(FeatureMatrix(np.eye(3)), budget)
 
     def test_cap_refusal(self):
         """30 rows at budget 15 is over 10^8 subsets, past the default cap."""

@@ -82,6 +82,7 @@ class TestConfig:
     def test_accepts_numpy_integers(self):
         fm = FeatureMatrix(np.eye(4))
         config = SelectionConfig(budget=np.int64(2), seed=np.int32(3))
+        assert type(config.budget) is int and type(config.seed) is int
         expected = select_uniform(fm, SelectionConfig(budget=2, seed=3)).indices
         assert select_uniform(fm, config).indices == expected
 

@@ -320,11 +320,21 @@ class TestSingleForwardPass:
             run_toy_experiment("uniform", 0.2, epochs=1, dataset=spec, **kwargs)
         assert calls == []
 
-    @pytest.mark.parametrize("epochs", [0, -1])
+    @pytest.mark.parametrize("epochs", [0, -1, 2.5, True])
     def test_rejects_fewer_than_one_epoch(self, epochs):
         spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
         with pytest.raises(ContractViolationError, match="epochs"):
             run_toy_experiment("uniform", 0.2, epochs=epochs, seed=18, dataset=spec)
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        """The config stores the seed as a Python int, so each epoch's seed
+        is computed in Python and the report's seed is JSON-serializable."""
+        spec = ToyDatasetSpec(counts=(30, 10, 5, 5))
+        report = run_toy_experiment("uniform", 0.2, epochs=2, seed=np.int64(3), dataset=spec)
+        expected = run_toy_experiment("uniform", 0.2, epochs=2, seed=3, dataset=spec)
+        assert type(report.seed) is int
+        assert report.to_json_dict() == expected.to_json_dict()
+        json.dumps(report.to_json_dict())
 
 
 class TestLazyFeatures:
