@@ -3,6 +3,10 @@
 Subcommands: select, oracle-check, metrics, toy, bench.  Every report is
 JSON; exit codes are 0 for success, 2 for usage errors, 3 for data or
 contract errors.  --eps sets the dependence tolerance of every subcommand.
+The --budget-ratio of select and of toy goes through one rule,
+selectors.budget_from_ratio: a ratio in (0, 1] whose int(ratio * rows)
+reaches 1 row for select and 2 for toy.  oracle-check and bench check their
+sizes and seed, then build one SelectionConfig, before the first trial.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .featfile import atomic_write_text, read_features, read_scores, read_text
 from .linalg import DEFAULT_EPS, FeatureMatrix, check_eps, check_int
 from .metrics import diversity_report
 from .objective import brute_force_optimum
-from .selectors import STRATEGIES, SelectionConfig, SelectionResult, pad_selection
+from .selectors import STRATEGIES, SelectionConfig, budget_from_ratio, pad_selection
 from .toy import TOY_STRATEGIES, run_toy_experiment
 
 GREEDY_BOUND = 1.0 - math.exp(-1.0)
@@ -38,20 +42,6 @@ def _emit(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _resolve_budget(args, n_rows: int) -> int:
-    if args.budget is not None:
-        return args.budget
-    # the toy's ratio rule; it refuses NaN too
-    if not 0.0 < args.budget_ratio <= 1.0:
-        raise ContractViolationError(f"budget ratio must be in (0, 1], got {args.budget_ratio}")
-    budget = int(args.budget_ratio * n_rows)
-    if budget < 1:
-        raise ContractViolationError(
-            f"budget ratio {args.budget_ratio} yields an empty budget on {n_rows} rows"
-        )
-    return budget
-
-
 def _gaussian_batches(args):
     """The trials of oracle-check and bench: args.trials standard normal
     n x d batches drawn, one per trial, from a generator seeded with
@@ -61,19 +51,6 @@ def _gaussian_batches(args):
         check_int(name, getattr(args, name), least)
     rng = np.random.default_rng(args.seed)
     return (FeatureMatrix(rng.standard_normal((args.n, args.d))) for _ in range(args.trials))
-
-
-def _selection_report(result: SelectionResult, config_echo: dict) -> dict:
-    return {
-        "indices": result.indices,
-        "padded": result.padded,
-        "r": result.objective.r,
-        "r_prime": result.objective.r_prime,
-        "basis_size": result.objective.basis_size,
-        "step_scores": result.step_scores,
-        "wall_time_seconds": result.wall_time,
-        "config_echo": config_echo,
-    }
 
 
 def cmd_select(args) -> int:
@@ -86,7 +63,9 @@ def cmd_select(args) -> int:
     if args.normalize_features and args.strategy not in KERNELS:
         raise ContractViolationError(f"{args.strategy} does not support normalize_features")
     features = read_features(args.features)
-    budget = _resolve_budget(args, features.n_rows)
+    budget = args.budget
+    if budget is None:
+        budget = budget_from_ratio("budget ratio", args.budget_ratio, features.n_rows, 1)
     cfg = SelectionConfig(budget=budget, eps=args.eps, seed=args.seed)
     scores = None if args.scores is None else read_scores(args.scores)
     if args.normalize_features:
@@ -97,23 +76,33 @@ def cmd_select(args) -> int:
     result = STRATEGIES[args.strategy](features, scores, cfg)
     if args.pad == PAD_UNIFORM:
         result = pad_selection(result, features, cfg)
-    echo = {
-        "strategy": args.strategy,
-        "budget": budget,
-        "eps": args.eps,
-        "seed": args.seed,
-        "pad": args.pad,
-        "normalize_features": args.normalize_features,
+    report = {
+        "indices": result.indices,
+        "padded": result.padded,
+        "r": result.objective.r,
+        "r_prime": result.objective.r_prime,
+        "basis_size": result.objective.basis_size,
+        "step_scores": result.step_scores,
+        "wall_time_seconds": result.wall_time,
+        "config_echo": {
+            "strategy": args.strategy,
+            "budget": budget,
+            "eps": args.eps,
+            "seed": args.seed,
+            "pad": args.pad,
+            "normalize_features": args.normalize_features,
+        },
     }
-    _emit(_selection_report(result, echo), args.out)
+    _emit(report, args.out)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
+    batches = _gaussian_batches(args)
+    cfg = SelectionConfig(budget=args.budget, eps=args.eps)
     ratios = {name: [] for name in KERNELS}
-    for features in _gaussian_batches(args):
+    for features in batches:
         _, opt = brute_force_optimum(features, args.budget, eps=args.eps)
-        cfg = SelectionConfig(budget=args.budget, eps=args.eps)
         for name in KERNELS:
             ratios[name].append(STRATEGIES[name](features, None, cfg).objective.r / opt.r)
     report = {

@@ -5,7 +5,8 @@ FeatureMatrix is the one place that rejects feature values: values that are
 not bool, integer or float (complex, text, object) and non-finite ones.
 check_eps is the one rule for a dependence tolerance, and check_int the one
 rule for every integer argument with a lower bound (a selection budget and
-seed, a basis dim, the toy's epochs, the CLI's synthetic sizes and seed).
+seed, a basis dim, a kNN k, the toy's cluster counts, data seed and epochs,
+the CLI's synthetic sizes and seed).
 Everything here is double precision and deterministic: identical inputs
 produce bitwise-identical outputs on the same platform.
 """

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_EPS, FeatureMatrix
+from .linalg import DEFAULT_EPS, FeatureMatrix, check_int
 from .objective import _check_subset, basis_of_subset
 
 
@@ -34,7 +34,7 @@ def knn_cosine_distance(
 
     Averaged over neighbors first, then over selected rows.  Which of
     several equally distant neighbors counts cannot change the mean.  Each k
-    must be in [1, len(selected)).
+    must be an integer (check_int) in [1, len(selected)).
     """
     sel = _check_subset(features.n_rows, selected)
     if not sel:
@@ -45,16 +45,15 @@ def knn_cosine_distance(
         row = sel[int(np.argmin(norms))]
         raise ContractViolationError(f"selected row {row} is the zero vector")
     m = len(sel)
+    ks = [check_int("k", k, 1) for k in ks]
     for k in ks:
-        if k < 1:
-            raise ContractViolationError(f"k={k} must be >= 1")
         if k >= m:
             raise ContractViolationError(f"k={k} requires more than {m} selected rows")
     Xn = X / norms[:, None]
     dist = 1.0 - np.clip(Xn @ Xn.T, -1.0, 1.0)
     np.fill_diagonal(dist, np.inf)
     dist.sort(axis=1)
-    return {int(k): float(dist[:, :k].mean(axis=1).mean()) for k in ks}
+    return {k: float(dist[:, :k].mean(axis=1).mean()) for k in ks}
 
 
 def group_proportions(row_labels, selected: Sequence[int]) -> dict[int, float]:

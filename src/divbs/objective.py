@@ -86,7 +86,9 @@ def brute_force_optimum(
 ) -> tuple[tuple[int, ...], ObjectiveValue]:
     """Exhaustive maximizer of r over all subsets of size <= budget.
 
-    Ties are broken by the lexicographically smallest index tuple.  Raises
+    Ties are broken by the lexicographically smallest index tuple among
+    equal *computed* r: subsets whose r is equal in exact arithmetic may
+    differ in the last bit, and then the larger computed r wins.  Raises
     EnumerationCapError, without enumerating, when the total number of
     subsets exceeds DEFAULT_ENUMERATION_CAP.
     """

@@ -98,6 +98,20 @@ def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
         )
 
 
+def budget_from_ratio(name: str, ratio: float, n_rows: int, least: int) -> int:
+    """int(ratio * n_rows), the budget a ratio gives on n_rows rows.  A ratio
+    outside (0, 1], NaN included, is refused before the budget is formed, and
+    so is a budget below least; name is the ratio's name in the message."""
+    if not 0.0 < ratio <= 1.0:
+        raise ContractViolationError(f"{name} must be in (0, 1], got {ratio}")
+    budget = int(ratio * n_rows)
+    if budget < least:
+        raise ContractViolationError(
+            f"{name} {ratio} gives a budget of {budget} of {n_rows} rows; at least {least} needed"
+        )
+    return budget
+
+
 def _finish(indices, scores, t0, objective) -> SelectionResult:
     return SelectionResult(
         indices=list(indices),

@@ -10,9 +10,10 @@ An epoch's N x (4*100 + 4) gradient features are built only when something
 reads their values or labels: greedy, divbs and kmeanspp read them every
 epoch, while uniform and top_loss read only the row count (and the losses),
 so their runs build the matrix once, for the final diversity report.  A run
-is checked whole before its first epoch: its arguments (epochs by
-linalg.check_int), a budget of at least 2 rows (the final diversity report
-needs two) and one SelectionConfig.  Each epoch derives its own seed from
+is checked whole before its first epoch: its dataset spec (counts and seed
+by linalg.check_int), its budget ratio (selectors.budget_from_ratio, with a
+floor of 2 rows, since the final diversity report needs two), its epochs
+(check_int) and one SelectionConfig.  Each epoch derives its own seed from
 that config's seed, which the config stores as a Python int, so a numpy
 integer seed runs and reports as the same int.  Adam moments start at zero
 without being stored.  The network shape, the Adam hyperparameters and the
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import DEFAULT_EPS, FeatureMatrix, check_int
 from .metrics import DiversityReport, diversity_report
-from .selectors import STRATEGIES, SelectionConfig, pad_selection
+from .selectors import STRATEGIES, SelectionConfig, budget_from_ratio, pad_selection
 
 DEFAULT_MEANS = ((0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0))
 DEFAULT_COUNTS = (1000, 300, 150, 20)
@@ -37,10 +38,18 @@ DEFAULT_COUNTS = (1000, 300, 150, 20)
 TOY_STRATEGIES = ("uniform", "top_loss", "greedy", "divbs", "kmeanspp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyDatasetSpec:
+    """Cluster sizes, one per cluster in DEFAULT_MEANS order, and the data
+    seed.  Each count must be an integer of at least 0 and the seed one of
+    at least 0 (check_int); the counts are stored as a tuple of Python ints."""
+
     counts: tuple = DEFAULT_COUNTS
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", tuple(check_int("count", c, 0) for c in self.counts))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 def generate_toy_dataset(spec: ToyDatasetSpec) -> tuple[FeatureMatrix, np.ndarray]:
@@ -243,24 +252,17 @@ def run_toy_experiment(
     selection that stops short (greedy or divbs) to the budget with
     pad_selection's seeded uniform draws, and takes one Adam step on the
     mean loss over the selected subset.  final_padded flags the padded rows
-    of the last epoch's batch.  A budget below 2 rows is refused before the
-    first epoch, and so are epochs that are not an integer of at least 1
-    and anything SelectionConfig refuses (a seed that is not an integer of
-    at least 0, a bad eps).
+    of the last epoch's batch.  Before the first epoch, budget_from_ratio
+    refuses a ratio outside (0, 1] and a budget below 2 rows, check_int
+    refuses epochs that are not an integer of at least 1, and SelectionConfig
+    refuses a seed that is not an integer of at least 0 and a bad eps.
     """
     if strategy not in TOY_STRATEGIES:
         raise ContractViolationError(f"unknown strategy {strategy!r}")
-    if not 0.0 < budget_ratio <= 1.0:
-        raise ContractViolationError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    check_int("epochs", epochs, 1)
     spec = dataset if dataset is not None else ToyDatasetSpec(seed=seed)
     n = sum(spec.counts)
-    budget = int(budget_ratio * n)
-    if budget < 2:
-        raise ContractViolationError(
-            f"budget_ratio {budget_ratio} gives a budget of {budget} of {n} rows; "
-            "the toy needs at least 2"
-        )
+    budget = budget_from_ratio("budget_ratio", budget_ratio, n, 2)
+    check_int("epochs", epochs, 1)
     base = SelectionConfig(budget=budget, eps=eps, seed=seed)
     data, labels = generate_toy_dataset(spec)
     x = data.values

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from divbs import cli
 from divbs.cli import _svg_scatter, main
 from divbs.featfile import write_features_binary, write_features_csv
 from divbs.linalg import FeatureMatrix
@@ -577,7 +578,7 @@ class TestBadInputExitCodes:
     def test_budget_ratio_empty_budget(self, hand_features, capsys):
         args = ["select", "--features", hand_features, "--strategy", "divbs"]
         assert main(args + ["--budget-ratio=0.2"]) == 3
-        assert "yields an empty budget" in capsys.readouterr().err
+        assert "gives a budget of 0 of" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, code, message",
@@ -606,6 +607,16 @@ class TestBadInputExitCodes:
     def test_oracle_check_zero_trials(self):
         args = ["oracle-check", "--n", "4", "--d", "2", "--budget", "2", "--trials", "0"]
         assert main(args) == 3
+
+    def test_oracle_check_bad_budget_before_enumerating(self, monkeypatch, capsys):
+        """The one config is built before the first trial, so a budget of 0
+        is refused without a single brute-force enumeration."""
+        calls = []
+        monkeypatch.setattr(cli, "brute_force_optimum", lambda *args, **kw: calls.append(args))
+        args = ["oracle-check", "--n", "4", "--d", "2", "--budget", "0", "--trials", "3"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "error: budget must be >= 1, got 0\n"
+        assert calls == []
 
     def test_bench_zero_trials(self):
         assert main(["bench", "--n", "8", "--d", "4", "--budget", "2", "--trials", "0"]) == 3

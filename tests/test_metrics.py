@@ -158,10 +158,22 @@ class TestIndexAndKChecks:
         with pytest.raises(ContractViolationError, match="out of range"):
             knn_cosine_distance(fm, [0, bad], [1])
 
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_below_one_rejected(self, k):
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (0, "k must be >= 1, got 0"),
+            (-1, "k must be >= 1, got -1"),
+            (1.5, "must be an integer"),
+            (2.0, "must be an integer"),
+            (True, "must be an integer"),
+        ],
+        ids=["0", "-1", "1.5", "2.0", "True"],
+    )
+    def test_k_below_one_rejected(self, k, message):
+        """A float k would end in a raw TypeError at the slice, and True
+        would run as k = 1."""
         fm = FeatureMatrix(np.eye(3))
-        with pytest.raises(ContractViolationError, match=f"k={k}"):
+        with pytest.raises(ContractViolationError, match=message):
             knn_cosine_distance(fm, [0, 1, 2], [k])
 
 

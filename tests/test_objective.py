@@ -8,6 +8,8 @@ from divbs.linalg import FeatureMatrix
 from divbs.objective import basis_of_subset, brute_force_optimum, representativeness
 from divbs.selectors import SelectionConfig, select_divbs, select_greedy
 
+from exact_oracle import exact_subset_values
+
 
 def random_rotation(k, rng):
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
@@ -203,6 +205,40 @@ class TestBruteForce:
             _, opt = brute_force_optimum(fm, b)
             greedy = select_greedy(fm, SelectionConfig(budget=b, pad_policy="none"))
             assert opt.r >= greedy.objective.r - 1e-12
+
+
+def test_exact_oracle_sweep():
+    """Small integer batches against exact arithmetic (exact_oracle): n 3-7,
+    d 2-5, entries -3..3, every other batch with a duplicated row, every
+    budget.  The float brute force's subset has the exactly optimal r^2, and
+    the basis size of brute force, greedy, divbs and representativeness
+    equals the exact rank of the rows they hold.  Subsets are not compared:
+    ties go to the lowest index tuple among equal *computed* r, and rows
+    whose exact r is equal may differ in the last bit."""
+    rng = np.random.default_rng(2026)
+    wrong = []
+    for trial in range(150):
+        n, d = int(rng.integers(3, 8)), int(rng.integers(2, 6))
+        x = rng.integers(-3, 4, size=(n, d))
+        if trial % 2:
+            src, dst = rng.choice(n, size=2, replace=False)
+            x[dst] = x[src]
+        fm = FeatureMatrix(x)
+        exact = exact_subset_values(x)
+        for subset, (rank, _) in exact.items():
+            if representativeness(fm, subset).basis_size != rank:
+                wrong.append((trial, "representativeness", subset))
+        for budget in range(1, n + 1):
+            best, obj = brute_force_optimum(fm, budget)
+            optimum = max(r2 for s, (_, r2) in exact.items() if len(s) <= budget)
+            if exact[best] != (obj.basis_size, optimum):
+                wrong.append((trial, budget, "brute force", best))
+            cfg = SelectionConfig(budget=budget)
+            for select in (select_greedy, select_divbs):
+                result = select(fm, cfg)
+                if result.objective.basis_size != exact[tuple(sorted(result.indices))][0]:
+                    wrong.append((trial, budget, select.__name__, result.indices))
+    assert not wrong, f"{len(wrong)} disagreements with exact arithmetic, first {wrong[:5]}"
 
 
 class TestSubsetIndexTypes:

@@ -14,6 +14,7 @@ from divbs.objective import basis_of_subset, representativeness
 from divbs.selectors import (
     SelectionConfig,
     SelectionResult,
+    budget_from_ratio,
     pad_selection,
     select_divbs,
     select_greedy,
@@ -97,6 +98,31 @@ class TestConfig:
         assert dataclasses.replace(config, seed=5) == SelectionConfig(budget=2, seed=5)
         with pytest.raises(ContractViolationError, match="budget"):
             dataclasses.replace(config, budget=0)
+
+
+@pytest.mark.parametrize(
+    "ratio, n_rows, least, message",
+    [
+        (math.nan, 20, 1, r"ratio must be in \(0, 1\], got nan"),
+        (0.0, 20, 1, r"ratio must be in \(0, 1\], got 0.0"),
+        (1.5, 20, 1, r"ratio must be in \(0, 1\], got 1.5"),
+        (1e300, 20, 1, r"ratio must be in \(0, 1\], got 1e\+300"),
+        (0.04, 20, 1, "ratio 0.04 gives a budget of 0 of 20 rows; at least 1 needed"),
+        (0.001, 1470, 2, "ratio 0.001 gives a budget of 1 of 1470 rows; at least 2 needed"),
+        (0.1, 1470, 2, None),
+        (0.7, 10, 1, None),
+        (1.0, 3, 2, None),
+    ],
+    ids=["nan", "0", "1.5", "1e300", "floor-1", "floor-2", "toy", "inexact", "whole"],
+)
+def test_budget_from_ratio(ratio, n_rows, least, message):
+    """The one rule for a budget ratio: (0, 1], NaN refused before the
+    budget is formed, then int(ratio * n_rows) must reach least."""
+    if message is None:
+        assert budget_from_ratio("ratio", ratio, n_rows, least) == int(ratio * n_rows)
+    else:
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            budget_from_ratio("ratio", ratio, n_rows, least)
 
 
 class TestScaleContract:

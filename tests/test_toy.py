@@ -42,6 +42,34 @@ class TestDataset:
         with pytest.raises(ContractViolationError, match="5 cluster counts given"):
             run_toy_experiment("uniform", 0.2, epochs=1, seed=3, dataset=spec)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"counts": (30, 10, 5, 2.5)}, "count must be an integer"),
+            ({"counts": (30, 10, 5, True)}, "count must be an integer"),
+            ({"counts": (30, 10, 5, -5)}, "count must be >= 0, got -5"),
+            ({"counts": (30, 10, 5, "5")}, "count must be an integer"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 2.5}, "seed must be an integer"),
+        ],
+        ids=["count-2.5", "count-True", "count-negative", "count-text", "seed-1", "seed-2.5"],
+    )
+    def test_spec_refuses_bad_counts_and_seed(self, kwargs, message):
+        """Checked when the spec is built, instead of a raw TypeError or
+        ValueError from numpy once the data is drawn."""
+        with pytest.raises(ContractViolationError, match=message):
+            ToyDatasetSpec(**kwargs)
+
+    def test_spec_stores_python_ints(self):
+        spec = ToyDatasetSpec(counts=[np.int64(30), 10, 5, 5], seed=np.int32(4))
+        assert spec.counts == (30, 10, 5, 5) and type(spec.counts[0]) is int
+        assert type(spec.seed) is int
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 5
+        data, _ = generate_toy_dataset(spec)
+        same, _ = generate_toy_dataset(ToyDatasetSpec(counts=(30, 10, 5, 5), seed=4))
+        assert data.values.tobytes() == same.values.tobytes()
+
     def test_cluster_zero_mean(self):
         spec = ToyDatasetSpec(counts=(100_000, 1, 1, 1), seed=2)
         data, labels = generate_toy_dataset(spec)
