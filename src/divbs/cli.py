@@ -69,9 +69,13 @@ def cmd_select(args) -> int:
     cfg = SelectionConfig(budget=budget, eps=args.eps, seed=args.seed)
     scores = None if args.scores is None else read_scores(args.scores)
     if args.normalize_features:
-        norms = np.linalg.norm(features.values, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(features.values, axis=1)
         if np.any(norms == 0.0):
             raise ContractViolationError(f"cannot normalize zero feature row {np.argmin(norms)}")
+        if np.any(np.isinf(norms)):
+            row = np.argmax(norms)
+            raise ContractViolationError(f"cannot normalize feature row {row}: its norm overflows")
         features = FeatureMatrix(features.values / norms[:, None], features.row_labels)
     result = STRATEGIES[args.strategy](features, scores, cfg)
     if args.pad == PAD_UNIFORM:

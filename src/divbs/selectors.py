@@ -33,6 +33,7 @@ strategy name to a call on (features, scores, cfg).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -99,9 +100,12 @@ def _check_budget(features: FeatureMatrix, cfg: SelectionConfig):
 
 
 def budget_from_ratio(name: str, ratio: float, n_rows: int, least: int) -> int:
-    """int(ratio * n_rows), the budget a ratio gives on n_rows rows.  A ratio
-    outside (0, 1], NaN included, is refused before the budget is formed, and
-    so is a budget below least; name is the ratio's name in the message."""
+    """int(ratio * n_rows), the budget a ratio gives on n_rows rows.  A bool,
+    anything that is not a real number, and a ratio outside (0, 1], NaN
+    included, are refused before the budget is formed, and so is a budget
+    below least; name is the ratio's name in the message."""
+    if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {ratio!r}")
     if not 0.0 < ratio <= 1.0:
         raise ContractViolationError(f"{name} must be in (0, 1], got {ratio}")
     budget = int(ratio * n_rows)

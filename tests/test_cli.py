@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -304,6 +305,25 @@ class TestSelect:
         capsys.readouterr()
         assert main(argv + ["--normalize-features"]) == 3
         assert "zero feature row 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["greedy", "divbs"])
+    def test_normalize_features_overflowing_norm_data_error(self, tmp_path, capsys, strategy):
+        """A finite row whose norm overflows is refused like a zero row,
+        instead of becoming a row of zeros that is never picked."""
+        X = np.array([[1e150, 1e150, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        feat = str(tmp_path / "f.csv")
+        write_features_csv(FeatureMatrix(X), feat)
+        argv = ["select", "--features", feat, "--strategy", strategy, "--budget", "3"]
+        assert main(argv + ["--normalize-features"]) == 0
+        X[0, :2] = 1e200
+        write_features_csv(FeatureMatrix(X), feat)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--normalize-features"]) == 3
+        err = capsys.readouterr().err
+        assert "cannot normalize feature row 0: its norm overflows" in err
+        assert "Warning" not in err
 
     def test_missing_file_data_error(self, tmp_path):
         code = main(

@@ -112,8 +112,26 @@ class TestConfig:
         (0.1, 1470, 2, None),
         (0.7, 10, 1, None),
         (1.0, 3, 2, None),
+        (None, 10, 1, "ratio must be a real number, got None"),
+        ("0.5", 10, 1, "ratio must be a real number, got '0.5'"),
+        (True, 10, 1, "ratio must be a real number, got True"),
+        (np.float32(0.5), 10, 1, None),
     ],
-    ids=["nan", "0", "1.5", "1e300", "floor-1", "floor-2", "toy", "inexact", "whole"],
+    ids=[
+        "nan",
+        "0",
+        "1.5",
+        "1e300",
+        "floor-1",
+        "floor-2",
+        "toy",
+        "inexact",
+        "whole",
+        "None",
+        "text",
+        "bool",
+        "float32",
+    ],
 )
 def test_budget_from_ratio(ratio, n_rows, least, message):
     """The one rule for a budget ratio: (0, 1], NaN refused before the

@@ -49,10 +49,19 @@ class TestDataset:
             ({"counts": (30, 10, 5, True)}, "count must be an integer"),
             ({"counts": (30, 10, 5, -5)}, "count must be >= 0, got -5"),
             ({"counts": (30, 10, 5, "5")}, "count must be an integer"),
+            ({"counts": 5}, "counts must be a sequence of integers, got 5"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"seed": 2.5}, "seed must be an integer"),
         ],
-        ids=["count-2.5", "count-True", "count-negative", "count-text", "seed-1", "seed-2.5"],
+        ids=[
+            "count-2.5",
+            "count-True",
+            "count-negative",
+            "count-text",
+            "counts-int",
+            "seed-1",
+            "seed-2.5",
+        ],
     )
     def test_spec_refuses_bad_counts_and_seed(self, kwargs, message):
         """Checked when the spec is built, instead of a raw TypeError or
@@ -63,6 +72,8 @@ class TestDataset:
     def test_spec_stores_python_ints(self):
         spec = ToyDatasetSpec(counts=[np.int64(30), 10, 5, 5], seed=np.int32(4))
         assert spec.counts == (30, 10, 5, 5) and type(spec.counts[0]) is int
+        for counts in (np.array([30, 10, 5, 5]), iter([30, 10, 5, 5])):
+            assert ToyDatasetSpec(counts=counts).counts == (30, 10, 5, 5)
         assert type(spec.seed) is int
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seed = 5
@@ -102,6 +113,83 @@ class TestForward:
         y = rng.integers(0, 4, size=20)
         _, probs = forward(model, x)
         assert np.all(per_sample_loss(probs, y) >= 0.0)
+
+
+def reference_forward(model, inputs):
+    """The formula forward is pinned to: numpy's axis-1 max and sum over the
+    class axis, on fresh arrays."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
+    logits = hidden @ model.w2.T + model.b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return hidden, exp / exp.sum(axis=1, keepdims=True)
+
+
+class TestForwardBits:
+    """forward folds the class columns in place; its outputs are bit for bit
+    those of reference_forward."""
+
+    @staticmethod
+    def sharp_model(seed):
+        """init_mlp's weights x50 and random biases, so that logits span
+        hundreds and the max shift decides whether exp overflows."""
+        model = init_mlp(seed)
+        rng = np.random.default_rng(100 + seed)
+        return dataclasses.replace(
+            model,
+            w1=50.0 * model.w1,
+            b1=rng.normal(size=model.b1.shape),
+            w2=50.0 * model.w2,
+            b2=rng.normal(size=model.b2.shape),
+        )
+
+    @pytest.mark.parametrize("rows", [1, 2, 147, 1470])
+    def test_equals_reference(self, rows):
+        for seed in range(5):
+            model = self.sharp_model(seed)
+            x = np.random.default_rng(seed).normal(loc=2.5, scale=3.0, size=(rows, 2))
+            hidden, probs = forward(model, x)
+            want_hidden, want_probs = reference_forward(model, x)
+            assert hidden.tobytes() == want_hidden.tobytes()
+            assert probs.tobytes() == want_probs.tobytes()
+
+    def test_sum_order_witness(self):
+        """With w2 = 0 the logits are exactly b2, and the exps are 1, two
+        values just above 2^-53 and 0. Summed in class order they make
+        1 + 2^-51; summed as p0 + ((p1 + p2) + p3) they make 1 + 2^-52."""
+        tiny = np.log(2.0**-53)
+        model = dataclasses.replace(
+            init_mlp(0), w2=np.zeros((4, 100)), b2=np.array([0.0, tiny, tiny, -1000.0])
+        )
+        _, probs = forward(model, np.array([[0.5, -0.5]]))
+        assert probs[0, 0] == 1.0 / (1.0 + 2.0**-51) != 1.0 / (1.0 + 2.0**-52)
+        assert probs.tobytes() == reference_forward(model, np.array([[0.5, -0.5]]))[1].tobytes()
+
+    def test_outputs_outlive_the_next_call(self):
+        """An epoch's features keep its hidden and probs until read, so a
+        later call must not write into them."""
+        model = self.sharp_model(1)
+        rng = np.random.default_rng(1)
+        hidden, probs = forward(model, rng.normal(size=(147, 2)))
+        kept = hidden.tobytes(), probs.tobytes()
+        again = forward(model, rng.normal(size=(147, 2)))
+        assert (hidden.tobytes(), probs.tobytes()) == kept
+        assert not any(np.shares_memory(a, b) for a in (hidden, probs) for b in again)
+
+    @pytest.mark.parametrize("strategy", toy.TOY_STRATEGIES)
+    def test_runs_equal_reference_runs(self, monkeypatch, strategy):
+        """Every forward of a run (the full batch, the Adam step's rows)
+        through the reference gives the same report and accuracy bits."""
+        spec = ToyDatasetSpec(counts=(60, 20, 10, 4), seed=22)
+
+        def report():
+            rep = run_toy_experiment(strategy, 0.2, epochs=4, seed=22, dataset=spec)
+            return rep.to_json_dict(), [a.hex() for a in rep.accuracy]
+
+        got = report()
+        monkeypatch.setattr(toy, "forward", reference_forward)
+        assert report() == got
 
 
 def fd_loss(model, x, y, name, flat_index, h=1e-5):
@@ -303,8 +391,9 @@ class TestSingleForwardPass:
             ("nope", 0.2, "unknown strategy 'nope'"),
             ("uniform", 0.0, r"budget_ratio must be in \(0, 1\], got 0.0"),
             ("uniform", 1.5, r"budget_ratio must be in \(0, 1\], got 1.5"),
+            ("uniform", "0.1", "budget_ratio must be a real number, got '0.1'"),
         ],
-        ids=["unknown-strategy", "ratio-0", "ratio-1.5"],
+        ids=["unknown-strategy", "ratio-0", "ratio-1.5", "ratio-text"],
     )
     def test_rejects_bad_arguments(self, strategy, ratio, message):
         spec = ToyDatasetSpec(counts=(30, 10, 5, 5), seed=18)
