@@ -1,8 +1,10 @@
 """The feature matrix, the dependence tolerance, the integer rule and the
 incremental orthonormal basis.
 
-FeatureMatrix is the one place that rejects feature values: values that are
-not bool, integer or float (complex, text, object) and non-finite ones.
+check_real is the one rule for the kind of a value array: FeatureMatrix's
+features and select_top_score's scores that are not bool, integer or float
+(complex, text, object) are refused, not cast.  FeatureMatrix is the one
+place that rejects feature values, non-finite ones included.
 check_eps is the one rule for a dependence tolerance, and check_int the one
 rule for every integer argument with a lower bound (a selection budget and
 seed, a basis dim, a kNN k, the toy's cluster counts, data seed and epochs,
@@ -42,6 +44,18 @@ def check_int(name, value, least):
     return int(value)
 
 
+def check_real(name, values):
+    """Return values as an array, or refuse them when their dtype is not
+    bool, integer or float: complex values would lose their imaginary parts
+    in a float cast, text would be parsed and objects converted one by one."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ContractViolationError(
+            f"{name} must be bool, integer or float, got dtype {values.dtype}"
+        )
+    return values
+
+
 @dataclass
 class FeatureMatrix:
     """N x D matrix of per-sample selection features, optionally labelled.
@@ -60,11 +74,7 @@ class FeatureMatrix:
     row_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype.kind not in "biuf":
-            raise ContractViolationError(
-                f"feature values must be bool, integer or float, got dtype {values.dtype}"
-            )
+        values = check_real("feature values", self.values)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ContractViolationError(

@@ -18,10 +18,13 @@ representativeness, evaluated on first read, so their wall_time excludes
 it.  SelectionConfig is frozen, so the checks it makes at construction
 hold for its whole life (dataclasses.replace derives a changed copy).
 k-means++ updates its distances through a certified screen
-(_DistanceScreen): one BLAS product
-per pick bounds every row's distance to the pick, and only the rows whose
-distance may drop are recomputed directly, so the distances keep the bits
-of a full recomputation whatever the BLAS thread split.  Every selector
+(_DistanceScreen): one float32 BLAS product per pick, from the float32
+copy divbs also screens with (_float32_copy), bounds every row's distance
+to the pick, and only the rows whose distance may drop are recomputed
+directly, so the distances keep the bits of a full recomputation whatever
+the BLAS thread split; each k-means++ call holds that extra N D 4-byte
+copy too.  Its draws are Generator.choice's without the argument checks
+(_draw), so they are the same from the same seed.  Every selector
 reads features.values as given.  No selector pads: a selection that stops
 short of the budget is returned short, and a caller that wants a full
 batch fills it with pad_selection.  All selectors are deterministic: among
@@ -40,7 +43,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps, check_int
+from .linalg import DEFAULT_EPS, FeatureMatrix, OrthonormalBasis, check_eps, check_int, check_real
 from .objective import ObjectiveValue, _check_subset, representativeness
 
 
@@ -144,6 +147,32 @@ def _pow2_scale(norm: float) -> float:
     return math.ldexp(1.0, -min(max(math.frexp(norm)[1], -1000), 1000))
 
 
+def _float32_error(d: int):
+    """(kappa, a32) of a float32 dot product of length d between vectors
+    rounded to float32 once: kappa = (1 + u)^2 (1 + gamma_d) - 1 for the
+    two roundings (u each) and the dot product in any order (gamma_d = d u /
+    (1 - d u), Higham 2002, sec. 3.1), times 1 + 2^-20 for the float64
+    rounding of norms and bounds, and +inf once d u >= 1; a32 = (1 +
+    gamma_d) tiny32 scales the terms of entries and results that
+    underflow."""
+    gamma = d * _U32 / (1.0 - d * _U32) if d * _U32 < 1.0 else math.inf
+    kappa = (2.0 * _U32 + _U32 * _U32 + gamma * (1.0 + _U32) ** 2) * (1.0 + 2.0**-20)
+    return kappa, (1.0 + gamma) * _TINY32
+
+
+def _float32_copy(X: np.ndarray, top: float):
+    """(X32, sx): X32 = fl32(sx X), with sx = 1 (a plain cast) unless top,
+    the largest row norm, lies outside [2^-40, 2^40], else the power of two
+    that brings top to [0.5, 1).  So no float32 product of two rows, or its
+    partial sums, can overflow."""
+    sx = 1.0 if 2.0**-40 <= top <= 2.0**40 else _pow2_scale(top)
+    if sx == 1.0:
+        return X.astype(np.float32), sx
+    # the float64 product by a power of two is exact; one rounding
+    X32 = np.empty(X.shape, np.float32)
+    return np.multiply(X, sx, out=X32, casting="same_kind"), sx
+
+
 def _f64_scores(rows: np.ndarray, running: np.ndarray) -> np.ndarray:
     """|x_i . running| for a 2-D block of rows, by numpy's elementwise product
     and pairwise sum, which no BLAS thread split affects."""
@@ -153,17 +182,14 @@ def _f64_scores(rows: np.ndarray, running: np.ndarray) -> np.ndarray:
 class _Float32Screen:
     """Float32 copy of the rows that encloses every |x_i . running| in an interval.
 
-    X32 = fl32(sx X) and r32 = fl32(sr running), with powers of two sx and sr:
-    sx = 1 (X32 is then a plain cast) unless the largest row norm M lies
-    outside [2^-40, 2^40], else it brings M to [0.5, 1); sr brings
+    X32 = fl32(sx X) (_float32_copy, with the largest row norm M) and r32 =
+    fl32(sr running), with a power of two sr that brings
     sx M ||sr running|| to [0.5, 1).  So no float32 entry, product or partial
     sum can overflow.  For s_i = |X32_i . r32|,
 
         |s_i - sx sr |x_i . running|| <= kappa ||sx x_i|| ||sr running|| + a,
 
-    with kappa = (1 + u)^2 (1 + gamma_d) - 1 for the rounding of both vectors
-    to float32 (u each) and the dot product in any order (gamma_d = d u /
-    (1 - d u), Higham 2002, sec. 3.1), and a = (1 + gamma_d) tiny32 (2 sqrt(d)
+    with kappa and a32 of _float32_error and a = a32 (2 sqrt(d)
     (sx M + ||sr running||) + 3 d) for entries and results that underflow.
     The factor 1 + 2^-20 on kappa and the tiny64 terms also cover the float64
     rounding of the norms, of the bound and of the float64 re-score.  kappa
@@ -177,21 +203,14 @@ class _Float32Screen:
 
     def __init__(self, X: np.ndarray, nrm2: np.ndarray):
         n, d = X.shape
-        gamma = d * _U32 / (1.0 - d * _U32) if d * _U32 < 1.0 else math.inf
-        kappa = (2.0 * _U32 + _U32 * _U32 + gamma * (1.0 + _U32) ** 2) * (1.0 + 2.0**-20)
+        kappa, self.a32 = _float32_error(d)
         nx = np.sqrt(nrm2 + 2 * d * _TINY64)
         top = float(nx.max())
-        self.sx = 1.0 if 2.0**-40 <= top <= 2.0**40 else _pow2_scale(top)
-        self.m = top * self.sx  # largest scaled row norm
         self.X = X
-        if self.sx == 1.0:
-            self.X32 = X.astype(np.float32)
-        else:  # the float64 product by a power of two is exact; one rounding
-            X32 = np.empty((n, d), np.float32)
-            self.X32 = np.multiply(X, self.sx, out=X32, casting="same_kind")
+        self.X32, self.sx = _float32_copy(X, top)
+        self.m = top * self.sx  # largest scaled row norm
         self.kx = kappa * self.sx * nx
         self.kx_max = float(self.kx.max())
-        self.a32 = (1.0 + gamma) * _TINY32
         self.a64 = 4 * d * _TINY64 * self.sx
         self.r32 = np.empty(d, np.float32)
         self.s = np.empty(n, np.float32)
@@ -247,41 +266,57 @@ class _Float32Screen:
 class _DistanceScreen:
     """Finds the rows whose k-means++ distance d2 a new pick c may lower.
 
-    One BLAS product X @ c and the squared row norms n2, computed once
-    (inf where they overflow), give
-    est_i = fl(n2_i - 2 x_i . c + n2_c).  For any summation order, est_i is
-    within gamma_{d+2} (||x_i|| + ||c||)^2 of ||x_i - c||^2, and the direct
-    distance fl(np.sum((x_i - c)**2)) is at least (1 - gamma_{d+2})
-    ||x_i - c||^2 (gamma_k = k u / (1 - k u), u = 2^-53; Higham 2002,
-    sec. 3.1).  So the direct distance is at least d2_i, and np.minimum
-    leaves d2_i as it is, wherever
+    The screen holds the squared row norms n2, computed once in float64 (inf
+    where they overflow), and the float32 copy X32 = fl32(sx X) of
+    _float32_copy.  One float32 product p = X32 @ X32_c bounds every row's
+    distance to c: with _Float32Screen's kappa32 and a32 (_float32_error)
+    and M the largest row norm,
 
-        est_i >= fl(fl(d2_i + k_i) + k_c),  k_i = kappa n2_i + 24 d tiny64,
-        kappa = 4 gamma / (1 - gamma) (1 + 2^-20),  gamma = gamma_{d+4}.
+        |p_i - sx^2 x_i . c| <= kappa32 sx^2 ||x_i|| ||c|| + a32 (4 sqrt(d) sx M + 3 d).
 
-    (||x|| + ||c||)^2 <= 2 ||x||^2 + 2 ||c||^2 turns the two gamma_{d+2}
-    terms into 4 gamma_{d+2} (||x_i||^2 + ||c||^2); gamma_{d+4} in their
-    place covers the rounding of the test, 1 / (1 - gamma) that of n2,
-    1 + 2^-20 that of k, and the tiny64 terms every product or sum that
-    underflows.  Only the rows that fail the test (a NaN fails it) get the
-    direct distance.  No row passes when (d + 4) u >= 0.1, or when some n2
+    So est_i = fl(fl(-2 p_i / sx^2 + n2_i) + n2_c) lies within
+    (kappa32 + gamma) (1 + gamma) S_i + 2 a (1 + gamma) + 12 d tiny64 of
+    ||x_i - c||^2, where S_i = ||x_i||^2 + ||c||^2, a = a32 (4 sqrt(d) sx M
+    + 3 d) / sx^2, and gamma = gamma_{d+4} >= gamma_d + 2 gamma_2 covers n2
+    and the two float64 additions (gamma_k = k u / (1 - k u), u = 2^-53;
+    Higham 2002, sec. 3.1).
+    The direct distance fl(np.sum((x_i - c)**2)) is at least
+    (1 - gamma_{d+2}) ||x_i - c||^2 - 3 d tiny64.  So the direct distance is
+    at least d2_i, and np.minimum leaves d2_i as it is, wherever
+
+        est_i >= fl(fl(d2_i + k_i) + k_c),  k_i = kappa n2_i + 2 a + 24 d tiny64,
+        kappa = (kappa32 + 3 gamma) (1 + gamma)^2 / (1 - gamma)^2 (1 + 2^-20).
+
+    Here ||x_i - c||^2 <= 2 S_i bounds the d2_i that can pass, which turns
+    the relative rounding of the test and of the direct distance into the
+    2 gamma S_i of kappa; 1 / (1 - gamma)^2 covers n2 in place of S_i and
+    that rounding, 1 + 2^-20 that of k, and the tiny64 terms every float64
+    product or sum that underflows.  Only the rows that fail the test (a NaN
+    fails it) get the direct distance.  No row passes when (d + 4) u >= 0.1
+    or kappa32 >= 0.1, so that the bound is not small, or when some n2
     exceeds 2^1016, so that est_i could overflow.
     """
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
         g = (d + 4) * _U64
+        kappa32, a32 = _float32_error(d)
         with np.errstate(over="ignore"):
             nrm2 = np.einsum("ij,ij->i", X, X)
-        self.X = X
         self.nrm2 = nrm2
         self.all_rows = None
-        if g >= 0.1 or float(nrm2.max()) > 2.0**1016:
+        if g >= 0.1 or kappa32 >= 0.1 or float(nrm2.max()) > 2.0**1016:
             self.all_rows = np.arange(n)
             return
         gamma = g / (1.0 - g)
-        kappa = 4.0 * gamma / (1.0 - gamma) * (1.0 + 2.0**-20)
-        self.k = kappa * nrm2 + 24 * d * _TINY64
+        top = math.sqrt(float(nrm2.max()) + 2 * d * _TINY64)
+        self.X32, sx = _float32_copy(X, top)
+        # -2 / sx^2 is a power of two, or 0 where every product underflows
+        self.unscale = -2.0 / sx / sx
+        a = a32 * (4.0 * math.sqrt(d) * top * sx + 3 * d) / sx / sx
+        kappa = (kappa32 + 3.0 * gamma) * ((1.0 + gamma) / (1.0 - gamma)) ** 2 * (1.0 + 2.0**-20)
+        self.k = kappa * nrm2 + (2.0 * a + 24 * d * _TINY64)
+        self.p = np.empty(n, np.float32)
         self.est = np.empty(n)
         self.floor = np.empty(n)
 
@@ -289,8 +324,8 @@ class _DistanceScreen:
         """Indices of the rows whose direct distance to row idx may fall below d2."""
         if self.all_rows is not None:
             return self.all_rows
-        est = np.dot(self.X, self.X[idx], out=self.est)
-        est *= -2.0
+        p = np.dot(self.X32, self.X32[idx], out=self.p)
+        est = np.multiply(p, self.unscale, out=self.est, dtype=np.float64)
         est += self.nrm2
         est += self.nrm2[idx]
         floor = np.add(d2, self.k, out=self.floor)
@@ -444,13 +479,14 @@ def select_top_score(
     """Budget rows with the largest externally supplied scores.
 
     Pass scores=None for the gradient-norm convenience mode, which scores
-    each row by its Euclidean norm.
+    each row by its Euclidean norm.  Scores that are not bool, integer or
+    float are refused (check_real), as are non-finite ones.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
     if scores is None:
         scores = np.linalg.norm(features.values, axis=1)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = check_real("scores", scores).astype(np.float64, copy=False)
     if scores.shape != (features.n_rows,):
         raise ContractViolationError(
             f"scores length {scores.shape} does not match {features.n_rows} rows"
@@ -463,19 +499,50 @@ def select_top_score(
     return _finish(indices, step_scores, t0, (features, indices, cfg.eps))
 
 
+def _draw(rng: np.random.Generator, d2: np.ndarray, total: float) -> int:
+    """A row drawn with probability d2_i / total, for d2 >= 0 with the
+    positive finite sum total: the inverse-CDF step that
+    Generator.choice(n, p=d2 / total) runs after its checks of p (numpy
+    2.4.6), which these weights always pass.  So the row and the generator's
+    state after it are those of rng.choice, without the checks."""
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# float64 entries of k-means++'s distance buffer (256 KiB): a block of rows
+# stays in cache from the copy to the row sums, and the buffer's pages are
+# reused from call to call instead of being faulted in
+_DISTANCE_BLOCK = 2**15
+
+
+def _distances(X: np.ndarray, rows: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """np.sum((X[rows] - c)**2, axis=1), bit for bit, computed in place in
+    buf, a block of rows of X's width, one block at a time."""
+    out = np.empty(rows.size)
+    step = buf.shape[0]
+    for start in range(0, rows.size, step):
+        block = buf[: min(step, rows.size - start)]
+        # rows are in range; mode="raise" would copy through a scratch array
+        X.take(rows[start : start + step], axis=0, out=block, mode="clip")
+        np.subtract(block, c, out=block)
+        out[start : start + step] = np.square(block, out=block).sum(axis=1)
+    return out
+
+
 def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionResult:
     """k-means++ seeding as a selector.
 
     First row uniform; each next row sampled proportionally to its squared
-    Euclidean distance d2 to the nearest already-selected row.  When every
-    remaining distance is zero (duplicate-only batches) the draw falls back
-    to uniform among the unselected rows.  After each pick only the rows the
-    _DistanceScreen cannot certify get the direct distance
-    np.sum((x_i - c)**2), so d2 holds the same bits as recomputing every row.
-    Raises ContractViolationError when a draw is due and a squared distance
-    to the first pick or their sum overflows, since the draw is not defined
-    then; a later distance that overflows is +inf, which np.minimum never
-    takes.
+    Euclidean distance d2 to the nearest already-selected row (_draw).  When
+    every remaining distance is zero (duplicate-only batches) the draw falls
+    back to uniform among the unselected rows.  After each pick only the
+    rows the _DistanceScreen cannot certify get the direct distance
+    np.sum((x_i - c)**2) (_distances, in one reused buffer of a block of
+    rows), so d2 holds the same bits as recomputing every row.  Raises
+    ContractViolationError when a draw is due and a squared distance to the
+    first pick or their sum overflows, since the draw is not defined then; a
+    later distance that overflows is +inf, which np.minimum never takes.
     """
     _check_budget(features, cfg)
     t0 = time.perf_counter()
@@ -484,8 +551,9 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     rng = np.random.default_rng(cfg.seed)
     first = int(rng.integers(n))
     indices = [first]
+    buf = np.empty((max(1, min(n, _DISTANCE_BLOCK // X.shape[1])), X.shape[1]))
     with np.errstate(over="ignore"):
-        d2 = np.sum((X - X[first]) ** 2, axis=1)
+        d2 = _distances(X, np.arange(n), X[first], buf)
         # every later d2 is at most this one, so no later sum overflows
         overflow = not math.isfinite(float(d2.sum()))
     if overflow and cfg.budget > 1:
@@ -497,7 +565,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
     while len(indices) < cfg.budget:
         total = float(d2.sum())
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _draw(rng, d2, total)
         else:
             remaining = np.setdiff1d(np.arange(n), indices)
             idx = int(remaining[rng.integers(remaining.size)])
@@ -506,7 +574,7 @@ def select_kmeanspp(features: FeatureMatrix, cfg: SelectionConfig) -> SelectionR
             break
         rows = screen.uncertified(d2, idx)
         with np.errstate(over="ignore"):
-            near = np.sum((X.take(rows, axis=0) - X[idx]) ** 2, axis=1)
+            near = _distances(X, rows, X[idx], buf)
         d2[rows] = np.minimum(d2[rows], near)
     return _finish(indices, [], t0, (features, indices, cfg.eps))
 

@@ -430,6 +430,77 @@ def test_kmeanspp_recomputes_every_row_when_the_bound_is_not_small(monkeypatch):
         assert select_kmeanspp(fm, cfg).indices == reference_kmeanspp(fm, cfg)
 
 
+def assert_moving_rows_uncertified(screen, X, idx, d2):
+    """Every row whose exact distance T_i or direct float distance to row idx
+    lies below its d2_i is among screen.uncertified(d2, idx)."""
+    rows = set(screen.uncertified(d2, idx).tolist())
+    exact = _exact_distances(X, X[idx])
+    direct = np.sum((X - X[idx]) ** 2, axis=1)
+    for i in range(len(X)):
+        if exact[i] < Fraction(d2[i]) or direct[i] < d2[i]:
+            assert i in rows, i
+    return rows
+
+
+def rounded_down_rows():
+    """Two D = 1 rows whose entries and float32 product sit just below a
+    float32 rounding midpoint (2045 * 2051 = 2^22 - 9 in the last places), so
+    the product rounds down three times and est_0 exceeds the exact
+    ||x_0 - x_1||^2 by 99.97 % of the float32 product term kappa32 S_0."""
+    ulp, off = 2.0**-23, 2.0**-24 * (1.0 - 2.0**-20)
+    return np.array([[1.0 + 2045 * ulp + off], [1.0 + 2051 * ulp + off]])
+
+
+def test_distance_screen_bound_is_nearly_reached():
+    """The float32 error of row 0's estimate nearly reaches kappa32 S_0, so a
+    d2_0 anywhere between the exact distance and the estimate must be
+    recomputed: a bound any smaller would certify some of them."""
+    X = rounded_down_rows()
+    screen = _DistanceScreen(X)
+    screen.uncertified(np.zeros(2), 1)
+    exact = _exact_distances(X, X[1])[0]
+    kappa32 = selectors._float32_error(1)[0]
+    excess = Fraction(float(screen.est[0])) - exact
+    assert excess >= Fraction(0.999 * kappa32) * (Fraction(X[0, 0]) ** 2 + Fraction(X[1, 0]) ** 2)
+    for t in np.linspace(0.0, 1.0, 41):
+        d2 = np.array([float(exact + Fraction(t) * excess), 0.0])
+        assert 0 in assert_moving_rows_uncertified(screen, X, 1, d2), t
+
+
+def tiny_rows():
+    """A unit row, which keeps sx = 1, beside rows 1 and 2 of norm ~2^-80,
+    whose float32 product 1.5 * 2^-160 underflows to 0.  So est_1 =
+    n2_1 + n2_2 = 3.25 * 2^-160, 13 times the exact distance 0.25 * 2^-160,
+    and only the underflow term a covers the difference."""
+    return np.array([[1.0, 0.0], [0.0, 1.5 * 2.0**-80], [0.0, 2.0**-80]])
+
+
+def test_distance_screen_covers_float32_products_that_underflow():
+    X = tiny_rows()
+    screen = _DistanceScreen(X)
+    screen.uncertified(np.zeros(3), 2)
+    assert screen.p[1] == 0.0 and screen.est[1] == 3.25 * 2.0**-160
+    for t in (0.3, 1.0, 2.0, 3.0):
+        d2 = np.array([2.0, t * 2.0**-160, 0.0])
+        assert 1 in assert_moving_rows_uncertified(screen, X, 2, d2), t
+
+
+def test_distance_screen_certifies_nothing_when_float32_cannot_bound(monkeypatch):
+    """With the float32 kappa at 0.1 or more the screen certifies nothing:
+    every row gets the direct distance.  Raising u32 to 0.05 reaches that
+    case at any D, while the float64 bound stays small."""
+    monkeypatch.setattr(selectors, "_U32", 0.05)
+    rng = np.random.default_rng(130)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 12))
+        fm = FeatureMatrix(rng.standard_normal((n, d)))
+        assert selectors._float32_error(d)[0] >= 0.1
+        screen = _DistanceScreen(fm.values)
+        assert screen.uncertified(np.zeros(n), 0).tolist() == list(range(n))
+        cfg = SelectionConfig(budget=int(rng.integers(1, n + 1)), pad_policy="none", seed=5)
+        assert select_kmeanspp(fm, cfg).indices == reference_kmeanspp(fm, cfg)
+
+
 def flush32(values):
     """values as float32, with every subnormal flushed to zero."""
     values = np.asarray(values, np.float32)
@@ -459,6 +530,41 @@ def flushing_screen(X):
     screen = screen_of(X)
     screen.X32 = flush32(screen.X32).view(FlushingRows)
     return screen
+
+
+def flushing_distance_screen(X):
+    """_DistanceScreen(X), with X32 cast and multiplied as a flush-to-zero
+    platform would."""
+    screen = _DistanceScreen(X)
+    screen.X32 = flush32(screen.X32).view(FlushingRows)
+    return screen
+
+
+def test_flushed_float32_distances_still_recompute_every_row_that_can_move():
+    """Rows 1 and 2 of norm ~2^-65 beside a unit row (sx = 1): their float32
+    product 1.5 * 2^-130 is subnormal, so a platform that flushes it
+    computes est_1 = n2_1 + n2_2, 13 times the exact distance.  Then
+    random rows at scales down to 2^-75, whose float32 entries, products
+    and partial sums are flushed.  Every d2 between the exact distance and
+    the estimate must be recomputed; only the underflow term a covers it."""
+    X = np.array([[1.0, 0.0], [0.0, 1.5 * 2.0**-65], [0.0, 2.0**-65]])
+    screen = flushing_distance_screen(X)
+    screen.uncertified(np.zeros(3), 2)
+    assert screen.p[1] == 0.0 and screen.est[1] == 3.25 * 2.0**-130
+    for t in (0.3, 1.0, 2.0, 3.0):
+        d2 = np.array([2.0, t * 2.0**-130, 0.0])
+        assert 1 in assert_moving_rows_uncertified(screen, X, 2, d2), t
+    rng = np.random.default_rng(134)
+    for trial in range(8):
+        n, d = 16, int(rng.integers(1, 7))
+        X = rng.standard_normal((n, d)) * 2.0 ** rng.integers(-75, -55, (n, 1)).astype(float)
+        X[0] = np.eye(1, d)[0]
+        X[3] = X[4]
+        idx = int(rng.integers(1, n))
+        screen = flushing_distance_screen(X)
+        exact = np.array([float(t) for t in _exact_distances(X, X[idx])])
+        for factor in (1.0 - 2.0**-20, 1.0, 1.5, 4.0):
+            assert_moving_rows_uncertified(screen, X, idx, exact * factor)
 
 
 def flushed_f64_scores(rows, running):

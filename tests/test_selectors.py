@@ -329,6 +329,25 @@ class TestTopScore:
         with pytest.raises(ContractViolationError, match="NaN or Inf"):
             select_top_score(fm, [1.0, bad, 2.0], cfg(1))
 
+    @pytest.mark.parametrize(
+        "scores,dtype",
+        [
+            (np.array([1 + 5j, 2, 3]), "complex128"),
+            (["3", "1", "2"], "<U1"),
+            (np.array([1, 2, 3], dtype=object), "object"),
+            ([1, None, 2], "object"),
+        ],
+        ids=["complex", "text", "object-ints", "none"],
+    )
+    def test_rejects_wrong_kind_scores(self, scores, dtype):
+        """Scores are refused by their dtype before the float64 cast: complex
+        scores would lose their imaginary parts, text would be parsed, and
+        None would read as NaN."""
+        fm = FeatureMatrix(np.eye(3))
+        message = f"scores must be bool, integer or float, got dtype {dtype}"
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            select_top_score(fm, scores, cfg(1))
+
 
 class TestKmeanspp:
     def test_deterministic(self):
@@ -356,6 +375,33 @@ class TestKmeanspp:
             if (idx[0] < 4) != (idx[1] < 4):
                 hits += 1
         assert hits / runs >= 0.99
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.array([3.0]),
+            np.eye(1, 7, 0)[0],
+            np.eye(1, 7, 4)[0],
+            np.eye(1, 7, 6)[0],
+            np.array([0.0, 2.0**-1074, 3 * 2.0**-1074, 0.0, 2.0**-1060, 2.0**-1030]),
+            np.random.default_rng(131).permutation(np.geomspace(1e-300, 1e300, 601)),
+            np.random.default_rng(132).standard_normal(5000) ** 2,
+            10.0 ** np.random.default_rng(133).uniform(-300, 300, 5000),
+        ],
+        ids=["n1", "only-first", "only-middle", "only-last", "subnormal", "1e-300-1e300",
+             "n5000", "n5000-1e-300-1e300"],
+    )
+    def test_draw_matches_generator_choice(self, weights):
+        """_draw is the step of rng.choice(n, p=weights / total) after its
+        checks: on every seed it draws the same rows and leaves the
+        generator in the same state."""
+        total = float(weights.sum())
+        for seed in range(40):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                want = int(numpys.choice(weights.size, p=weights / total))
+                assert selectors._draw(ours, weights, total) == want
+            assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestPadding:
